@@ -48,6 +48,8 @@ class BraidWord:
         return self.word_text()
 
 
+MAX_LETTERS = 10_000  # cap on the expanded word length, checked before expansion
+
 _HEADER = re.compile(r"\s*[Bb](\d+)\s*:")
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?$")
 
@@ -55,7 +57,8 @@ _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?$")
 def parse_braid(text: str) -> BraidWord:
     """Parse ``B<f>: <letter> ...`` where a letter is a nonzero signed integer
     (the generator index, sign giving the exponent) with an optional ``^m``
-    power suffix.  Separators are whitespace or commas.
+    power suffix.  Separators are whitespace or commas.  A word whose
+    expansion would exceed ``MAX_LETTERS`` letters is rejected unexpanded.
     """
     m = _HEADER.match(text)
     if not m:
@@ -81,6 +84,9 @@ def parse_braid(text: str) -> BraidWord:
             raise BraidParseError(
                 f"generator index {index} out of range 1..{strands - 1}", where)
         sign = (1 if base > 0 else -1) * (1 if power >= 0 else -1)
+        if len(letters) + abs(power) > MAX_LETTERS:
+            raise BraidParseError(
+                f"word longer than {MAX_LETTERS} letters", where)
         letters.extend((index, sign) for _ in range(abs(power)))
     return BraidWord(strands, tuple(letters))
 

@@ -216,7 +216,8 @@ def specialized_weight_nonzero(shape: Shape, spec: Specialization) -> bool:
     w = trace_weight(shape)
     num = specialize(w.num, spec)
     den = specialize(w.den, spec)
-    assert not den.is_zero, "specialized weight denominator vanished"
+    if den.is_zero:
+        raise ZeroDivisionError("specialized weight denominator vanished")
     return not num.is_zero
 
 

@@ -254,8 +254,8 @@ class PlanarDiagram:
         The pattern: arcs (c.a, d.b) and (c.a+1, d.b-1); the strand running
         through slot a of c and slot b of d must be the over strand at both
         crossings or the under strand at both.  Splicing such a pair never
-        changes the diagram value; it is disabled by default in the engine
-        and guarded by equivalence tests.
+        changes the diagram value; the engine applies it by default, and
+        equivalence tests check it against the engine without it.
         """
         slot_of = self._slot_map()
         links: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -326,61 +326,40 @@ class PlanarDiagram:
 
     # -- canonical form --------------------------------------------------------
 
-    def _encode_from(self, h0: int, slot_of) -> bytes:
-        """Relabel half-edges in walk order starting at h0 and serialize.
+    def canonical_key(self) -> tuple[int, ...]:
+        """Int tuple invariant under relabeling of half-edges/crossings.
 
-        Only valid for connected diagrams; the walk continues through
-        further strands via the first relabeled crossing that still has
-        unvisited slots.
-        """
-        label: dict[int, int] = {}
-        order: list[int] = []  # crossing ids in first-touch order
-
-        def tag(h: int) -> None:
-            if h not in label:
-                label[h] = len(label)
-
-        start = h0
-        while start is not None:
-            h = start
-            while True:
-                tag(h)
-                h2 = self.arcs[h]
-                tag(h2)
-                cid, slot = slot_of[h2]
-                if cid not in order:
-                    order.append(cid)
-                h = self.crossings[cid].slots[(slot + 2) % 4]
-                if h == start:
-                    break
-            start = None
-            for cid in order:
-                free = [h for h in self.crossings[cid].slots if h not in label]
-                if free:
-                    start = min(free, key=lambda h: self.crossings[cid].slots.index(h))
-                    break
-        if len(label) != len(self.arcs):
-            raise ValueError("canonical form requires a connected diagram")
-        rows = sorted(
-            (label[c.slots[0]], label[c.slots[1]], label[c.slots[2]],
-             label[c.slots[3]], c.over)
-            for c in self.crossings.values()
-        )
-        pairs = sorted(tuple(sorted((label[a], label[b])))
-                       for a, b in self.arcs.items() if a < b)
-        return repr((rows, pairs)).encode("ascii")
-
-    def canonical_key(self) -> bytes:
-        """Byte string invariant under relabeling of half-edges/crossings.
-
-        The encoding is computed from every possible start half-edge and the
-        lexicographically smallest result is kept, so isomorphic labelings
-        collide.  Connected diagrams only.
+        From a start crossing, crossings are labeled breadth-first, visiting
+        each crossing's slots in stored order.  In label order, each crossing
+        contributes its ``over`` bit, then ``4 * label + slot`` of each
+        slot's arc partner; this describes the diagram completely up to
+        relabeling.  The smallest tuple over all start crossings is kept, so
+        isomorphic labelings collide.  Connected diagrams only.  A
+        crossing-less diagram has key ``(free_loops,)``, a length no key of
+        a diagram with crossings has.
         """
         if not self.crossings:
-            return f"loops:{self.free_loops}".encode("ascii")
+            return (self.free_loops,)
         slot_of = self._slot_map()
-        return min(self._encode_from(h, slot_of) for h in sorted(self.arcs))
+        partners = {cid: tuple(slot_of[self.arcs[h]] for h in c.slots)
+                    for cid, c in self.crossings.items()}
+        best = None
+        for start in self.crossings:
+            label = {start: 0}
+            order = [start]
+            key: list[int] = []
+            for cid in order:  # grows while it is read: breadth-first
+                key.append(self.crossings[cid].over)
+                for pid, pslot in partners[cid]:
+                    if pid not in label:
+                        label[pid] = len(order)
+                        order.append(pid)
+                    key.append(4 * label[pid] + pslot)
+            if len(order) != len(self.crossings):
+                raise ValueError("canonical form requires a connected diagram")
+            if best is None or key < best:
+                best = key
+        return tuple(best)
 
     def debug_dump(self) -> str:
         lines = [f"free_loops {self.free_loops}"]
@@ -391,7 +370,7 @@ class PlanarDiagram:
             if a < self.arcs[a]:
                 lines.append(f"arc {a} {self.arcs[a]}")
         if not self.crossings or len(self.connected_parts()) == 1:
-            key = self.canonical_key().hex()
+            key = " ".join(map(str, self.canonical_key()))
             lines.append(f"key {key}")
         return "\n".join(lines)
 

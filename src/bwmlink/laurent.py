@@ -757,7 +757,8 @@ def specialize(value, spec: Specialization):
         den = specialize(value.den, spec)
     else:
         raise TypeError(f"cannot specialize {type(value).__name__}")
-    assert not den.is_zero, "specialized denominator vanished"
+    if den.is_zero:
+        raise ZeroDivisionError("specialized denominator vanished")
     q = num.exact_div(den)
     return q if q is not None else QFraction(num, den)
 

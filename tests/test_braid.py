@@ -56,6 +56,14 @@ class TestParse:
             parse_braid("B3: 1 x")
         assert err.value.position == 6
 
+    def test_expanded_length_cap(self, monkeypatch):
+        import bwmlink.braid as braid
+        monkeypatch.setattr(braid, "MAX_LETTERS", 5)
+        assert len(parse_braid("B2: 1^3 -1^2")) == 5
+        with pytest.raises(BraidParseError) as err:
+            parse_braid("B2: 1^3 -1^3")
+        assert err.value.position == 8
+
     def test_strand_count_zero(self):
         with pytest.raises(BraidParseError):
             parse_braid("B0:")

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bwmlink.bratteli as yb
-from bwmlink.laurent import (DELTA, X_NUM, RationalFn2, Specialization,
-                             loop_value, quantum_dimension, specialize)
+from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly2, RationalFn2,
+                             Specialization, loop_value, quantum_dimension,
+                             r_pow, s_pow, specialize)
 
 
 @st.composite
@@ -167,6 +168,13 @@ class TestTruncation:
         spec = Specialization.osp(1)
         assert yb.specialized_weight_nonzero((2, 1, 1, 1), spec)
         assert not yb.survives_truncation((2, 1, 1, 1), spec)
+
+    def test_vanished_weight_denominator_raises(self, monkeypatch):
+        # r + s^2 -> -q^2 + q^2 under osp:1
+        weight = RationalFn2(LaurentPoly2.const(1), r_pow(1) + s_pow(2))
+        monkeypatch.setattr(yb, "trace_weight", lambda shape: weight)
+        with pytest.raises(ZeroDivisionError):
+            yb.specialized_weight_nonzero((1,), Specialization.osp(1))
 
     def test_truncated_level_sets_frozen(self):
         for spec in (Specialization.osp(1), Specialization.so(1)):

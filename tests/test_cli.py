@@ -49,6 +49,12 @@ class TestInvariant:
         assert code == 2
         assert "error" in err
 
+    def test_oversized_power_exits_2(self, capsys):
+        # rejected before expansion, so no 10^9-letter word is built
+        code, out, err = run(capsys, "invariant", "--braid", "B2: 1^999999999")
+        assert code == 2 and out == ""
+        assert "error" in err and "letters" in err
+
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "invariant", "--braid", "B2: 1",
                          "--spec", "sp:1")

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bwmlink.braid import BraidWord, closure_diagram, parse_braid
 from bwmlink.diagram import Crossing, PlanarDiagram
+from bwmlink.skein import SkeinEngine
 
 
 def relabeled(d: PlanarDiagram, seed: int) -> PlanarDiagram:
@@ -158,6 +160,34 @@ class TestCanonicalKey:
         a = closure_diagram(parse_braid("B2: 1 1"))
         b = closure_diagram(parse_braid("B2: -1 -1"))
         assert a.canonical_key() != b.canonical_key()
+
+    @given(st.lists(small_words(), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_equal_key_equal_value(self, words):
+        # connected parts of closures and of their resolve children,
+        # grouped by key; one group must hold a single value
+        engine = SkeinEngine(use_cache=False)
+        values = {}
+        for w in words:
+            d = closure_diagram(w)
+            diagrams = [d] + [child for cid in sorted(d.crossings)
+                              for child in d.resolve(cid)]
+            for diagram in diagrams:
+                for part in diagram.connected_parts():
+                    value = engine.regular_isotopy_poly(part)
+                    assert values.setdefault(part.canonical_key(), value) == value
+
+    def test_disconnected_raises(self):
+        # two Hopf closures side by side, ids shifted apart
+        hopf = closure_diagram(parse_braid("B2: 1 1"))
+        crossings = {cid + 10: Crossing(tuple(h + 100 for h in c.slots), c.over)
+                     for cid, c in hopf.crossings.items()}
+        arcs = {a + 100: b + 100 for a, b in hopf.arcs.items()}
+        split = PlanarDiagram({**hopf.crossings, **crossings},
+                              {**hopf.arcs, **arcs}, 0)
+        assert len(split.connected_parts()) == 2
+        with pytest.raises(ValueError):
+            split.canonical_key()
 
     def test_debug_dump_contains_key(self):
         d = closure_diagram(parse_braid("B2: 1"))

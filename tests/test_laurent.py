@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2,
@@ -198,6 +199,12 @@ class TestSpecialize:
         assert isinstance(v, QFraction)
         assert one_var_equal(v, QFraction(LaurentPoly1.const(1),
                                           LaurentPoly1({1: 1, -1: -1})))
+
+    def test_vanished_denominator_raises(self):
+        # r + s^2 -> -q^2 + q^2 under osp:1; a real exception, not an assert
+        value = RationalFn2(LaurentPoly2.const(1), R + S * S)
+        with pytest.raises(ZeroDivisionError):
+            specialize(value, Specialization.osp(1))
 
 
 class TestQuantumDimension:

@@ -238,8 +238,8 @@ class TestPokeReduction:
     def test_hopf_does_not_reduce(self):
         assert closure_diagram(parse_braid("B2: 1 1")).remove_poke() is None
 
-    def test_off_by_default(self):
-        assert SkeinEngine()._poke is False
+    def test_on_by_default(self):
+        assert SkeinEngine()._poke is True
 
     @given(small_words(max_strands=4, max_len=7))
     @settings(max_examples=25, deadline=None)
