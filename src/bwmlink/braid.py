@@ -49,21 +49,31 @@ class BraidWord:
 
 
 MAX_LETTERS = 10_000  # cap on the expanded word length, checked before expansion
+MAX_DIGITS = 18  # cap on the digits of any number, checked before int()
 
 _HEADER = re.compile(r"\s*[Bb](\d+)\s*:")
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?$")
+
+
+def _number(text: str, where: int) -> int:
+    """``int(text)``, rejecting a number of more than ``MAX_DIGITS`` digits
+    before conversion."""
+    if len(text.lstrip("+-")) > MAX_DIGITS:
+        raise BraidParseError(f"number longer than {MAX_DIGITS} digits", where)
+    return int(text)
 
 
 def parse_braid(text: str) -> BraidWord:
     """Parse ``B<f>: <letter> ...`` where a letter is a nonzero signed integer
     (the generator index, sign giving the exponent) with an optional ``^m``
     power suffix.  Separators are whitespace or commas.  A word whose
-    expansion would exceed ``MAX_LETTERS`` letters is rejected unexpanded.
+    expansion would exceed ``MAX_LETTERS`` letters, or a number of more
+    than ``MAX_DIGITS`` digits, is rejected unexpanded.
     """
     m = _HEADER.match(text)
     if not m:
         raise BraidParseError("expected 'B<f>:' prefix", 0)
-    strands = int(m.group(1))
+    strands = _number(m.group(1), m.start(1))
     if strands < 1:
         raise BraidParseError("strand count must be at least 1", m.start(1))
     letters: list[tuple[int, int]] = []
@@ -75,10 +85,10 @@ def parse_braid(text: str) -> BraidWord:
         tm = _TOKEN.match(token)
         if not tm:
             raise BraidParseError(f"malformed letter {token!r}", where)
-        base = int(tm.group(1))
+        base = _number(tm.group(1), where)
         if base == 0:
             raise BraidParseError("generator index 0 is not valid", where)
-        power = int(tm.group(2)) if tm.group(2) else 1
+        power = _number(tm.group(2), where) if tm.group(2) else 1
         index = abs(base)
         if index > strands - 1:
             raise BraidParseError(

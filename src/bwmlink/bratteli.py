@@ -20,11 +20,13 @@ weight of the empty shape is 1.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import (DELTA, X_NUM, LaurentPoly2, RationalFn2, Specialization,
-                      r_pow, s_pow, specialize)
+from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly2, RationalFn2,
+                      Specialization, r_pow, s_pow, specialize)
 
 Shape = tuple[int, ...]
 
@@ -124,17 +126,14 @@ def d_stat(shape: Shape, i: int, j: int) -> int:
     return -col_i - col_j + i + j - 1
 
 
-def trace_weight(shape: Shape) -> RationalFn2:
-    """The product-formula weight of a shape (1 for the empty shape).
-
-    Assembled as one quotient: numerator and denominator are the products
-    of the per-box factors, with no reduction beyond integer content.
-    """
-    num = LaurentPoly2.const(1)
-    den = LaurentPoly2.const(1)
+def _weight_parts(shape: Shape) -> tuple[LaurentPoly2, Counter]:
+    """Numerator of a shape's trace weight (the product of the per-box
+    numerator factors) and the multiset of its hook lengths."""
+    num = ONE2
+    hooks: Counter = Counter()
     conj = conjugate(shape)
     for i, j in boxes(shape):
-        h = hook_length(shape, i, j)
+        hooks[hook_length(shape, i, j)] += 1
         if i == j:
             row, col = shape[i - 1], conj[j - 1]
             num = num * LaurentPoly2({
@@ -146,8 +145,25 @@ def trace_weight(shape: Shape) -> RationalFn2:
         else:
             d = d_stat(shape, i, j)
             num = num * (r_pow(1) * s_pow(d) - r_pow(-1) * s_pow(-d))
-        den = den * (s_pow(h) - s_pow(-h))
-    return RationalFn2(num, den)
+    return num, hooks
+
+
+def _hook_product(hooks: Mapping[int, int]) -> LaurentPoly2:
+    """The product of (s^h - s^-h)^m over the hook multiset {h: m}."""
+    out = ONE2
+    for h, m in sorted(hooks.items()):
+        out = out * (s_pow(h) - s_pow(-h)) ** m
+    return out
+
+
+def trace_weight(shape: Shape) -> RationalFn2:
+    """The product-formula weight of a shape (1 for the empty shape).
+
+    Assembled as one quotient: numerator and denominator are the products
+    of the per-box factors, with no reduction beyond integer content.
+    """
+    num, hooks = _weight_parts(shape)
+    return RationalFn2(num, _hook_product(hooks))
 
 
 def matrix_unit_trace(shape: Shape, f: int) -> RationalFn2:
@@ -258,12 +274,30 @@ def truncated_bratteli(spec: Specialization, depth: int) -> BratteliGraph:
 
 def sum_rule_check(f: int) -> bool:
     """Exact identity: the path-count-weighted sum of level-f trace weights
-    equals x^f."""
+    equals x^f = X_NUM^f / (s - s^-1)^f.
+
+    Every weight is num / H(hooks), with H(hooks) the product of
+    (s^h - s^-h) over the shape's hook lengths, and s - s^-1 = H({1: 1}).
+    Take C, the union (maximum multiplicity) of the level's hook
+    multisets and of {1: f}; H(C) is a common multiple of every
+    denominator.  Multiplying both sides by H(C) turns the identity into
+    one between Laurent polynomials,
+
+        sum count * num * H(C - hooks) == X_NUM^f * H(C - {1: f}),
+
+    and since the Laurent ring is an integral domain and H(C) is nonzero,
+    the two identities hold or fail together.
+    """
     graph = generic_bratteli(f)
-    total = RationalFn2.from_poly(0)
-    for shape in graph.levels[f]:
-        total = total + trace_weight(shape) * graph.path_count(shape, f)
-    return total == RationalFn2(X_NUM**f, DELTA**f)
+    parts = [(graph.path_count(shape, f), *_weight_parts(shape))
+             for shape in graph.levels[f]]
+    common = Counter({1: f})
+    for _, _, hooks in parts:
+        common |= hooks
+    total = ZERO2
+    for count, num, hooks in parts:
+        total = total + num * _hook_product(common - hooks) * count
+    return total == X_NUM**f * _hook_product(common - Counter({1: f}))
 
 
 def path_pair_count(f: int) -> int:
@@ -299,18 +333,9 @@ def specialized_weights_equal(shape: Shape, n: int) -> bool:
     """Whether the two specializations r -> -q^(2n), s -> q and
     r -> q^(2n), s -> -q give the same weight, by cross-multiplication."""
     w = trace_weight(shape)
-    u = QPair(specialize(w.num, Specialization.osp(n)),
-              specialize(w.den, Specialization.osp(n)))
-    v = QPair(specialize(w.num, Specialization.so(n)),
-              specialize(w.den, Specialization.so(n)))
-    return (u.num * v.den - v.num * u.den).is_zero
-
-
-class QPair:
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num, self.den = num, den
+    osp, so = Specialization.osp(n), Specialization.so(n)
+    return (specialize(w.num, osp) * specialize(w.den, so)
+            - specialize(w.num, so) * specialize(w.den, osp)).is_zero
 
 
 # ---------------------------------------------------------------------------

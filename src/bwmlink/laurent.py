@@ -22,6 +22,18 @@ from math import gcd
 from typing import Iterator, Mapping
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from ``one``."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 # ---------------------------------------------------------------------------
 # two-variable Laurent polynomials
 
@@ -137,14 +149,7 @@ class LaurentPoly2:
                 if c in (1, -1):
                     return LaurentPoly2({(a * n, b * n): c ** (n & 1 or 2)})
             raise ValueError("negative powers only for unit monomials")
-        out = LaurentPoly2.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, LaurentPoly2.const(1))
 
     def flip_vars(self) -> LaurentPoly2:
         """Return self(-r, -s): each term picks up (-1)^(r_exp + s_exp)."""
@@ -343,10 +348,7 @@ class LocalizedPoly:
     def __pow__(self, n: int) -> LocalizedPoly:
         if n < 0:
             raise ValueError("negative powers not defined in the localized ring")
-        out = LocalizedPoly.from_poly(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, LocalizedPoly.from_poly(1))
 
     def flip_vars(self) -> LocalizedPoly:
         """Value at (-r, -s); the denominator flip contributes (-1)^k."""
@@ -473,10 +475,7 @@ class RationalFn2:
     def __pow__(self, n: int) -> RationalFn2:
         if n < 0:
             return RationalFn2(self.den, self.num) ** (-n)
-        out = RationalFn2.from_poly(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, RationalFn2.from_poly(1))
 
     def flip_vars(self) -> RationalFn2:
         return RationalFn2(self.num.flip_vars(), self.den.flip_vars())
@@ -600,10 +599,7 @@ class LaurentPoly1:
                 if c in (1, -1):
                     return LaurentPoly1({e * n: c ** (n & 1 or 2)})
             raise ValueError("negative powers only for unit monomials")
-        out = LaurentPoly1.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, LaurentPoly1.const(1))
 
     def flip_q(self) -> LaurentPoly1:
         """Return self(-q)."""

@@ -64,6 +64,25 @@ class TestParse:
             parse_braid("B2: 1^3 -1^3")
         assert err.value.position == 8
 
+    def test_digit_cap(self, monkeypatch):
+        import bwmlink.braid as braid
+        monkeypatch.setattr(braid, "MAX_DIGITS", 3)
+        assert len(parse_braid("B3: 2^100")) == 100
+        for text, position in (("B1000:", 1), ("B3: 1000", 4),
+                               ("B3: 1 -2^1000", 6)):
+            with pytest.raises(BraidParseError) as err:
+                parse_braid(text)
+            assert err.value.position == position
+            assert "digits" in str(err.value)
+
+    def test_numbers_past_int_conversion_limit(self):
+        # longer than the interpreter's 4300-digit int() limit
+        nines = "9" * 5000
+        for text in (f"B{nines}: 1", f"B2: {nines}", f"B2: 1^{nines}",
+                     f"B2: 1^-{nines}"):
+            with pytest.raises(BraidParseError):
+                parse_braid(text)
+
     def test_strand_count_zero(self):
         with pytest.raises(BraidParseError):
             parse_braid("B0:")

@@ -102,6 +102,78 @@ class TestTraceWeight:
             yb.matrix_unit_trace((1,), 2)
 
 
+def box_by_box_weight(shape):
+    """Oracle: the weight as the product of its per-box factors, with hook
+    lengths and axial statistics counted directly from the rows."""
+    rows = list(shape)
+    cols = [sum(1 for r in rows if r > j) for j in range(rows[0] if rows else 0)]
+
+    def row(k):
+        return rows[k - 1] if k <= len(rows) else 0
+
+    def col(k):
+        return cols[k - 1] if k <= len(cols) else 0
+
+    num = den = LaurentPoly2.const(1)
+    for i in range(1, len(rows) + 1):
+        for j in range(1, row(i) + 1):
+            if i == j:
+                a, e = row(i) - col(j), row(i) + col(j) - 2 * j + 1
+                factor = (r_pow(1) * s_pow(a) - r_pow(-1) * s_pow(-a)
+                          + s_pow(e) - s_pow(-e))
+            else:
+                if i < j:
+                    d = row(i) + row(j) - i - j + 1
+                else:
+                    d = -col(i) - col(j) + i + j - 1
+                factor = r_pow(1) * s_pow(d) - r_pow(-1) * s_pow(-d)
+            h = (row(i) - j) + (col(j) - i) + 1
+            num = num * factor
+            den = den * (s_pow(h) - s_pow(-h))
+    return RationalFn2(num, den)
+
+
+class TestSumRuleCommonDenominator:
+    def test_holds_to_8(self):
+        for f in range(6, 9):
+            assert yb.sum_rule_check(f), f
+
+    def test_bumped_path_count_fails(self, monkeypatch):
+        real = yb.generic_bratteli
+
+        def bumped(depth):
+            graph = real(depth)
+            counts = list(graph.path_counts)
+            level = dict(counts[depth])
+            level[graph.levels[depth][depth % len(level)]] += 1
+            counts[depth] = level
+            return yb.BratteliGraph(graph.levels, graph.edges, tuple(counts))
+
+        monkeypatch.setattr(yb, "generic_bratteli", bumped)
+        for f in range(1, 9):
+            assert not yb.sum_rule_check(f), f
+
+    def test_negated_numerator_fails(self, monkeypatch):
+        real = yb._weight_parts
+        target = {}
+
+        def negated(shape):
+            num, hooks = real(shape)
+            return (-num if shape == target["shape"] else num), hooks
+
+        monkeypatch.setattr(yb, "_weight_parts", negated)
+        for f in range(1, 9):
+            level = yb.bmw_level(f)
+            target["shape"] = level[f % len(level)]
+            assert not yb.sum_rule_check(f), f
+
+    def test_weight_terms_match_box_by_box(self):
+        for size in range(0, 8):
+            for shape in yb.young_level(size):
+                got, want = yb.trace_weight(shape), box_by_box_weight(shape)
+                assert got.num == want.num and got.den == want.den, shape
+
+
 class TestGraph:
     def test_path_counts_level_3(self):
         g = yb.generic_bratteli(3)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bwmlink.cli import main
 
 
@@ -54,6 +56,14 @@ class TestInvariant:
         code, out, err = run(capsys, "invariant", "--braid", "B2: 1^999999999")
         assert code == 2 and out == ""
         assert "error" in err and "letters" in err
+
+    @pytest.mark.parametrize("braid", ["B2: 1^" + "9" * 5000,
+                                       "B" + "9" * 5000 + ": 1"])
+    def test_huge_number_exits_2(self, capsys, braid):
+        code, out, err = run(capsys, "invariant", "--braid", braid)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "digits" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "invariant", "--braid", "B2: 1",
@@ -149,6 +159,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "sumrule", "--max-f", "4")
         assert code == 0
         assert "failures: 0" in out
+
+    def test_sumrule_to_8(self, capsys):
+        code, out, _ = run(capsys, "verify", "sumrule", "--max-f", "8")
+        assert code == 0
+        assert out.endswith("total: 9 failures: 0\n")
 
     def test_lemma2_small(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma2", "--max-size", "3",

@@ -142,6 +142,42 @@ class TestRationalFn:
         assert half_x + half_x == RationalFn2.from_localized(loop_value())
 
 
+class TestPower:
+    """Square-and-multiply powers equal the repeated product."""
+
+    @staticmethod
+    def check(base, one):
+        product = one
+        for n in range(10):
+            assert base**n == product, n
+            product = product * base
+
+    def test_laurent_poly2(self):
+        self.check(R + 2 * S - 1, LaurentPoly2.const(1))
+
+    def test_localized(self):
+        self.check(loop_value() - R, LocalizedPoly.from_poly(1))
+
+    def test_rational(self):
+        self.check(RationalFn2(X_NUM + R, DELTA * R + 1),
+                   RationalFn2.from_poly(1))
+
+    def test_laurent_poly1(self):
+        q = LaurentPoly1.term(1, 1)
+        self.check(q - 2 + LaurentPoly1.term(3, -2), LaurentPoly1.const(1))
+
+    def test_localized_keeps_normal_form(self):
+        v = loop_value() ** 5
+        assert v.k == 5 and v.num == X_NUM**5
+
+    def test_rational_negative_power(self):
+        w = RationalFn2(X_NUM, DELTA)
+        assert w**-3 == RationalFn2(DELTA**3, X_NUM**3)
+        assert w**-3 * w**3 == RationalFn2.from_poly(1)
+        with pytest.raises(ZeroDivisionError):
+            RationalFn2.from_poly(0) ** -1
+
+
 class TestFlipVars:
     def test_even_monomial(self):
         assert flip_vars(R * S) == R * S
