@@ -50,6 +50,7 @@ class BraidWord:
 
 MAX_LETTERS = 10_000  # cap on the expanded word length, checked before expansion
 MAX_DIGITS = 18  # cap on the digits of any number, checked before int()
+MAX_STRANDS = 64  # cap on the strand count: free loops cost x^(loops - 1)
 
 _HEADER = re.compile(r"\s*[Bb](\d+)\s*:")
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?$")
@@ -67,8 +68,9 @@ def parse_braid(text: str) -> BraidWord:
     """Parse ``B<f>: <letter> ...`` where a letter is a nonzero signed integer
     (the generator index, sign giving the exponent) with an optional ``^m``
     power suffix.  Separators are whitespace or commas.  A word whose
-    expansion would exceed ``MAX_LETTERS`` letters, or a number of more
-    than ``MAX_DIGITS`` digits, is rejected unexpanded.
+    expansion would exceed ``MAX_LETTERS`` letters, a number of more than
+    ``MAX_DIGITS`` digits, or a strand count over ``MAX_STRANDS``, is
+    rejected unexpanded.
     """
     m = _HEADER.match(text)
     if not m:
@@ -76,6 +78,9 @@ def parse_braid(text: str) -> BraidWord:
     strands = _number(m.group(1), m.start(1))
     if strands < 1:
         raise BraidParseError("strand count must be at least 1", m.start(1))
+    if strands > MAX_STRANDS:
+        raise BraidParseError(
+            f"strand count {strands} over cap {MAX_STRANDS}", m.start(1))
     letters: list[tuple[int, int]] = []
     pos = m.end()
     rest = text[pos:]

@@ -8,6 +8,7 @@ Timing goes to stderr so stdout is byte-for-byte deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -269,7 +270,10 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    far more than one ``parse_args``."""
     parser = argparse.ArgumentParser(
         prog="bwmlink",
         description="Two-variable Kauffman invariants of braid closures, "

@@ -268,9 +268,48 @@ def _format_terms(items, names) -> str:
 # localization at (s - s^-1)
 
 
+def _div_delta(p: LaurentPoly2) -> LaurentPoly2 | None:
+    """Exact quotient p / (s - s^-1), or None; linear in the s-span of p.
+
+    Column by column in r: writing p_b and q_b for the coefficients of s^b,
+    p = q * (s - s^-1) means p_b = q_(b-1) - q_(b+1), so q_(b-1) = p_b +
+    q_(b+1) from the top s-degree down.  The division is exact when the
+    recurrence ends with q_lo = q_(lo-1) = 0, lo being the column's lowest
+    s-degree.
+    """
+    cols: dict[int, dict[int, int]] = {}
+    for (a, b), c in p._terms.items():
+        col = cols.get(a)
+        if col is None:
+            cols[a] = {b: c}
+        else:
+            col[b] = c
+    out: dict[tuple[int, int], int] = {}
+    for a, col in cols.items():
+        above, here = 0, 0  # q_(b+1), q_b
+        get = col.get
+        for b in range(max(col), min(col) - 1, -1):
+            below = get(b, 0) + above  # q_(b-1)
+            if below:
+                out[(a, b - 1)] = below
+            above, here = here, below
+        if above or here:
+            return None
+    res = LaurentPoly2()
+    res._terms = out
+    return res
+
+
 class LocalizedPoly:
-    """Value num / (s - s^-1)^k, normalized so k = 0 or the denominator does
-    not exactly divide num."""
+    """Value num / (s - s^-1)^k, normalized so k = 0 or (s - s^-1) does not
+    divide num.
+
+    The constructor normalizes by repeated exact division by (s - s^-1)
+    (``_div_delta``).  Products whose normal form is known without a trial
+    division skip it: a factor (s - s^-1) lowers k, and a monomial or an
+    integer factor keeps k, since (s - s^-1) is primitive and cannot come
+    to divide num through a unit or an integer content.
+    """
 
     __slots__ = ("num", "k")
 
@@ -281,12 +320,19 @@ class LocalizedPoly:
             num, k = ZERO2, 0
         else:
             while k > 0:
-                q = num.exact_div(DELTA)
+                q = _div_delta(num)
                 if q is None:
                     break
                 num, k = q, k - 1
         self.num = num
         self.k = k
+
+    @staticmethod
+    def _normal(num: LaurentPoly2, k: int) -> LocalizedPoly:
+        """A value from a (num, k) pair already in normal form."""
+        out = LocalizedPoly.__new__(LocalizedPoly)
+        out.num, out.k = num, (k if num._terms else 0)
+        return out
 
     @staticmethod
     def from_poly(p: LaurentPoly2 | int) -> LocalizedPoly:
@@ -299,6 +345,8 @@ class LocalizedPoly:
         return self.num.is_zero
 
     def _lift(self, k: int) -> LaurentPoly2:
+        if k == self.k:
+            return self.num
         return self.num * DELTA ** (k - self.k)
 
     def __eq__(self, other: object) -> bool:
@@ -322,9 +370,7 @@ class LocalizedPoly:
     __radd__ = __add__
 
     def __neg__(self) -> LocalizedPoly:
-        out = LocalizedPoly.__new__(LocalizedPoly)
-        out.num, out.k = -self.num, self.k
-        return out
+        return LocalizedPoly._normal(-self.num, self.k)
 
     def __sub__(self, other):
         if isinstance(other, (int, LaurentPoly2)):
@@ -336,8 +382,12 @@ class LocalizedPoly:
 
     def __mul__(self, other: LocalizedPoly | LaurentPoly2 | int) -> LocalizedPoly:
         if isinstance(other, int):
-            return LocalizedPoly(self.num * other, self.k)
+            return LocalizedPoly._normal(self.num * other, self.k)
         if isinstance(other, LaurentPoly2):
+            if len(other._terms) == 1:
+                return LocalizedPoly._normal(self.num * other, self.k)
+            if self.k and other._terms == DELTA._terms:
+                return LocalizedPoly._normal(self.num, self.k - 1)
             return LocalizedPoly(self.num * other, self.k)
         if not isinstance(other, LocalizedPoly):
             return NotImplemented

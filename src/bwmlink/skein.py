@@ -55,8 +55,10 @@ class SkeinEngine:
         if split < 0:
             raise ValueError("the empty diagram has no value")
         acc = _X**split
-        for part in parts:
-            acc = acc * self._connected(part)
+        for i, part in enumerate(parts):
+            value = self._connected(part)
+            # x^0 = 1: the first part's value is taken as it is
+            acc = acc * value if split or i else value
         return acc
 
     def _connected(self, part: PlanarDiagram) -> LocalizedPoly:

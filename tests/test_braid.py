@@ -75,6 +75,16 @@ class TestParse:
             assert err.value.position == position
             assert "digits" in str(err.value)
 
+    def test_strand_cap(self, monkeypatch):
+        import bwmlink.braid as braid
+        monkeypatch.setattr(braid, "MAX_STRANDS", 4)
+        assert parse_braid("B4: 3").strands == 4
+        for text, position in (("B5:", 1), ("  b12: 1", 3)):
+            with pytest.raises(BraidParseError) as err:
+                parse_braid(text)
+            assert err.value.position == position
+            assert "strand count" in str(err.value)
+
     def test_numbers_past_int_conversion_limit(self):
         # longer than the interpreter's 4300-digit int() limit
         nines = "9" * 5000

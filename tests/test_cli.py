@@ -65,6 +65,23 @@ class TestInvariant:
         assert err.startswith("error: ") and "digits" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_strand_cap_exits_2(self, capsys):
+        # rejected before x^199 for the free loops is built
+        code, out, err = run(capsys, "invariant", "--braid", "B200:")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "strand count" in err
+        assert err.count("\n") == 1
+
+    def test_parser_reused_after_usage_error(self, capsys):
+        import bwmlink.cli as cli
+
+        argv = ("invariant", "--braid", "B3: 1 -2 1", "--spec", "so:1")
+        assert run(capsys, "invariant", "--format", "json")[0] == 2
+        _, after_error, _ = run(capsys, *argv)
+        cli.build_parser.cache_clear()
+        _, fresh, _ = run(capsys, *argv)
+        assert after_error == fresh and "value[so:1](q)" in fresh
+
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "invariant", "--braid", "B2: 1",
                          "--spec", "sp:1")

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2,
                              LocalizedPoly, QFraction, RationalFn2,
-                             Specialization, flip_vars, loop_value,
+                             Specialization, _div_delta, flip_vars, loop_value,
                              one_var_equal, quantum_dimension, r_pow, s_pow,
                              specialize)
 
@@ -85,6 +85,74 @@ class TestExactDivision:
         if d.is_zero:
             return
         assert (p * d).exact_div(d) == p
+
+
+class TestDivDelta:
+    def test_examples(self):
+        assert _div_delta(s_pow(3) - s_pow(-3)) == s_pow(2) + 1 + s_pow(-2)
+        assert _div_delta(R * DELTA + DELTA * DELTA) == R + DELTA
+        assert _div_delta(LaurentPoly2()) == LaurentPoly2()
+        assert _div_delta(S) is None
+        assert _div_delta(S + s_pow(-1)) is None
+        # (s - s^-1) divides p exactly when p vanishes at s = 1 and s = -1,
+        # that is when both parity classes of a column sum to 0; each of
+        # these fails one class only
+        assert _div_delta(1 + S - s_pow(2)) is None
+        assert _div_delta(1 + S - s_pow(3)) is None
+        assert _div_delta(R * (s_pow(2) - 1) + (1 + S - s_pow(2))) is None
+
+    @given(polys2(max_terms=6), st.integers(0, 2))
+    @settings(max_examples=200)
+    def test_matches_exact_div(self, p, j):
+        # exact_div is the general routine; None cases must agree too
+        q = p * DELTA**j
+        assert _div_delta(q) == q.exact_div(DELTA)
+
+
+def generic(num, k):
+    """(num, k) of the value the normalizing constructor gives."""
+    v = LocalizedPoly(num, k)
+    return v.num, v.k
+
+
+class TestLocalizedFastPaths:
+    @given(polys2(), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_times_delta(self, p, k):
+        v = LocalizedPoly(p, k)
+        for w in (v * DELTA, DELTA * v):
+            assert (w.num, w.k) == generic(v.num * DELTA, v.k)
+
+    @given(polys2(), st.integers(0, 3), st.integers(-3, 3), st.integers(-3, 3),
+           st.sampled_from((1, -1, 3, -6)))
+    @settings(max_examples=60)
+    def test_times_monomial(self, p, k, a, b, c):
+        v = LocalizedPoly(p, k)
+        m = LaurentPoly2.term(c, a, b)
+        for w in (v * m, m * v):
+            assert (w.num, w.k) == generic(v.num * m, v.k)
+
+    @given(polys2(), st.integers(0, 3), st.integers(-4, 4))
+    @settings(max_examples=60)
+    def test_times_int(self, p, k, n):
+        v = LocalizedPoly(p, k)
+        for w in (v * n, n * v):
+            assert (w.num, w.k) == generic(v.num * n, v.k)
+        assert (v * 0).num.is_zero and (v * 0).k == 0
+
+    @given(polys2(), polys2(), st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_add(self, p, q, j, k):
+        # covers both paths: equal k adds the numerators unlifted
+        u, v = LocalizedPoly(p, j), LocalizedPoly(q, k)
+        top = max(u.k, v.k)
+        w = u + v
+        assert (w.num, w.k) == generic(u.num * DELTA ** (top - u.k)
+                                       + v.num * DELTA ** (top - v.k), top)
+
+    def test_add_equal_k_divides_out(self):
+        w = LocalizedPoly(S, 1) + LocalizedPoly(-s_pow(-1), 1)
+        assert (w.num, w.k) == (LaurentPoly2.const(1), 0)
 
 
 class TestLocalized:
