@@ -1,7 +1,8 @@
 """Byte-exact CLI output on a fixed corpus.
 
-``cli_golden.json`` holds the stdout of ``bwmlink invariant`` and
-``bwmlink torus`` for every command line below.  Engine changes must leave
+``cli_golden.json`` holds the stdout of ``bwmlink invariant``,
+``bwmlink torus``, ``bwmlink bratteli`` and the Bratteli ``bwmlink verify``
+suites for every command line below.  Engine changes must leave
 it byte-identical.  After an intended change of output format, regenerate it
 with ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
@@ -30,6 +31,13 @@ WORDS = [
 ]
 SPECS = [None, "osp:1", "so:2"]
 FORMATS = ["text", "json"]
+BRATTELI_SPECS = [None, "osp:1", "so:2", "osp:3"]
+BRATTELI_FORMATS = ["text", "json", "dot"]
+VERIFY_LINES = [
+    ["verify", "sumrule", "--max-f", "8"],
+    ["verify", "omega", "--max-f", "8"],
+    ["verify", "lemma2", "--max-size", "7", "--max-n", "3"],
+]
 
 
 def command_lines() -> list[list[str]]:
@@ -43,7 +51,13 @@ def command_lines() -> list[list[str]]:
                 lines.append(argv)
     for fmt in FORMATS:
         lines.append(["torus", "--m", "7", "--format", fmt])
-    return lines
+    for spec in BRATTELI_SPECS:
+        for fmt in BRATTELI_FORMATS:
+            argv = ["bratteli", "--depth", "8", "--format", fmt]
+            if spec is not None:
+                argv += ["--spec", spec]
+            lines.append(argv)
+    return lines + VERIFY_LINES
 
 
 def stdout_of(argv: list[str]) -> str:
