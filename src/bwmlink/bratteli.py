@@ -25,8 +25,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly2, RationalFn2,
-                      Specialization, r_pow, s_pow, specialize)
+from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly1, LaurentPoly2,
+                      RationalFn2, Specialization, s_pow, specialize)
 
 Shape = tuple[int, ...]
 
@@ -103,27 +103,53 @@ def differ_by_one_box(a: Shape, b: Shape) -> bool:
 # box statistics and trace weights
 
 
-def hook_length(shape: Shape, i: int, j: int) -> int:
-    """Arm + leg + 1 of the 1-indexed box (i, j)."""
+def _check_box(shape: Shape, i: int, j: int) -> None:
     if not (1 <= i <= len(shape) and 1 <= j <= shape[i - 1]):
         raise ValueError(f"box ({i}, {j}) outside shape {list(shape)}")
-    conj = conjugate(shape)
+
+
+def _hook(shape: Shape, conj: Shape, i: int, j: int) -> int:
     return shape[i - 1] - i + conj[j - 1] - j + 1
+
+
+def _axial(shape: Shape, conj: Shape, i: int, j: int) -> int:
+    if i <= j:
+        row_i = shape[i - 1]
+        row_j = shape[j - 1] if j <= len(shape) else 0
+        return row_i + row_j - i - j + 1
+    col_i = conj[i - 1] if i <= len(conj) else 0
+    col_j = conj[j - 1]
+    return -col_i - col_j + i + j - 1
+
+
+def hook_length(shape: Shape, i: int, j: int) -> int:
+    """Arm + leg + 1 of the 1-indexed box (i, j)."""
+    _check_box(shape, i, j)
+    return _hook(shape, conjugate(shape), i, j)
 
 
 def d_stat(shape: Shape, i: int, j: int) -> int:
     """Axial statistic of the box (i, j): row_i + row_j - i - j + 1 above the
     diagonal, -(col_i + col_j) + i + j - 1 below it."""
-    if not (1 <= i <= len(shape) and 1 <= j <= shape[i - 1]):
-        raise ValueError(f"box ({i}, {j}) outside shape {list(shape)}")
-    if i <= j:
-        row_i = shape[i - 1]
-        row_j = shape[j - 1] if j <= len(shape) else 0
-        return row_i + row_j - i - j + 1
+    _check_box(shape, i, j)
+    return _axial(shape, conjugate(shape), i, j)
+
+
+def _box_factors(shape: Shape):
+    """Each box's numerator factor and hook length, with the conjugate
+    computed once for the whole shape."""
     conj = conjugate(shape)
-    col_i = conj[i - 1] if i <= len(conj) else 0
-    col_j = conj[j - 1]
-    return -col_i - col_j + i + j - 1
+    for i, j in boxes(shape):
+        hook = _hook(shape, conj, i, j)
+        if i == j:
+            # row + col - 2j + 1 of a diagonal box is its hook length
+            a = shape[i - 1] - conj[j - 1]
+            factor = LaurentPoly2({(1, a): 1, (-1, -a): -1,
+                                   (0, hook): 1, (0, -hook): -1})
+        else:
+            d = _axial(shape, conj, i, j)
+            factor = LaurentPoly2({(1, d): 1, (-1, -d): -1})
+        yield factor, hook
 
 
 def _weight_parts(shape: Shape) -> tuple[LaurentPoly2, Counter]:
@@ -131,20 +157,9 @@ def _weight_parts(shape: Shape) -> tuple[LaurentPoly2, Counter]:
     numerator factors) and the multiset of its hook lengths."""
     num = ONE2
     hooks: Counter = Counter()
-    conj = conjugate(shape)
-    for i, j in boxes(shape):
-        hooks[hook_length(shape, i, j)] += 1
-        if i == j:
-            row, col = shape[i - 1], conj[j - 1]
-            num = num * LaurentPoly2({
-                (1, row - col): 1,
-                (-1, col - row): -1,
-                (0, row + col - 2 * j + 1): 1,
-                (0, -row - col + 2 * j - 1): -1,
-            })
-        else:
-            d = d_stat(shape, i, j)
-            num = num * (r_pow(1) * s_pow(d) - r_pow(-1) * s_pow(-d))
+    for factor, hook in _box_factors(shape):
+        num = num * factor
+        hooks[hook] += 1
     return num, hooks
 
 
@@ -195,6 +210,8 @@ class BratteliGraph:
 
 
 def _build_graph(depth: int, keep=None) -> BratteliGraph:
+    if depth < 0:
+        raise ValueError("negative depth")
     levels: list[tuple[Shape, ...]] = []
     for k in range(depth + 1):
         shapes = bmw_level(k)
@@ -204,10 +221,16 @@ def _build_graph(depth: int, keep=None) -> BratteliGraph:
     edges: list[tuple[tuple[Shape, Shape], ...]] = []
     counts: list[dict[Shape, int]] = [{(): 1}]
     for k in range(depth):
-        gap = tuple((lo, hi) for lo in levels[k] for hi in levels[k + 1]
-                    if differ_by_one_box(lo, hi))
-        edges.append(gap)
-        level_counts: dict[Shape, int] = {s: 0 for s in levels[k + 1]}
+        upper = levels[k + 1]
+        position = {s: idx for idx, s in enumerate(upper)}
+        gap: list[tuple[Shape, Shape]] = []
+        for lo in levels[k]:
+            found = sorted(position[s] for s in
+                           _one_box_larger(lo) + _one_box_smaller(lo)
+                           if s in position)
+            gap.extend((lo, upper[idx]) for idx in found)
+        edges.append(tuple(gap))
+        level_counts: dict[Shape, int] = {s: 0 for s in upper}
         for lo, hi in gap:
             level_counts[hi] += counts[k][lo]
         counts.append(level_counts)
@@ -250,6 +273,14 @@ def _one_box_smaller(shape: Shape) -> list[Shape]:
     return out
 
 
+def _one_box_larger(shape: Shape) -> list[Shape]:
+    """Shapes with one box added at the end of a row, or as a new row."""
+    out = [shape[:i] + (shape[i] + 1,) + shape[i + 1:]
+           for i in range(len(shape)) if i == 0 or shape[i - 1] > shape[i]]
+    out.append(shape + (1,))
+    return out
+
+
 @lru_cache(maxsize=None)
 def survives_truncation(shape: Shape, spec: Specialization) -> bool:
     """Membership in the truncated shape lattice, built inductively from the
@@ -287,16 +318,24 @@ def sum_rule_check(f: int) -> bool:
 
     and since the Laurent ring is an integral domain and H(C) is nonzero,
     the two identities hold or fail together.
+
+    Shapes with equal hook multisets share the factor H(C - hooks) (a
+    shape and its conjugate always do), so the left side is summed as
+    sum over groups of H(C - hooks) * (sum of count * num in the group):
+    the same polynomial by distributivity, with one large product per
+    group instead of one per shape.
     """
     graph = generic_bratteli(f)
-    parts = [(graph.path_count(shape, f), *_weight_parts(shape))
-             for shape in graph.levels[f]]
+    groups: dict[frozenset, LaurentPoly2] = {}
     common = Counter({1: f})
-    for _, _, hooks in parts:
+    for shape in graph.levels[f]:
+        num, hooks = _weight_parts(shape)
+        key = frozenset(hooks.items())
+        groups[key] = groups.get(key, ZERO2) + num * graph.path_count(shape, f)
         common |= hooks
     total = ZERO2
-    for count, num, hooks in parts:
-        total = total + num * _hook_product(common - hooks) * count
+    for key, partial in groups.items():
+        total = total + partial * _hook_product(common - Counter(dict(key)))
     return total == X_NUM**f * _hook_product(common - Counter({1: f}))
 
 
@@ -331,11 +370,23 @@ def enumerate_paths(graph: BratteliGraph, shape: Shape,
 
 def specialized_weights_equal(shape: Shape, n: int) -> bool:
     """Whether the two specializations r -> -q^(2n), s -> q and
-    r -> q^(2n), s -> -q give the same weight, by cross-multiplication."""
-    w = trace_weight(shape)
+    r -> q^(2n), s -> -q give the same weight, by cross-multiplication.
+
+    Specialization is a ring homomorphism, so the specialized numerator
+    and denominator are the products of the specialized box factors and
+    of the specialized (s^h - s^-h); the two-variable weight is never
+    built.  The check is then num_osp * den_so - num_so * den_osp == 0,
+    in full: no sign rule is assumed.
+    """
     osp, so = Specialization.osp(n), Specialization.so(n)
-    return (specialize(w.num, osp) * specialize(w.den, so)
-            - specialize(w.num, so) * specialize(w.den, osp)).is_zero
+    num_osp = num_so = den_osp = den_so = LaurentPoly1.const(1)
+    for factor, hook in _box_factors(shape):
+        gap = s_pow(hook) - s_pow(-hook)
+        num_osp = num_osp * specialize(factor, osp)
+        num_so = num_so * specialize(factor, so)
+        den_osp = den_osp * specialize(gap, osp)
+        den_so = den_so * specialize(gap, so)
+    return (num_osp * den_so - num_so * den_osp).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,16 @@ def cmd_bratteli(args) -> int:
     if args.depth > DEPTH_CAP:
         print(f"error: depth {args.depth} over cap {DEPTH_CAP}", file=sys.stderr)
         return 2
-    if args.spec is None:
-        graph = yb.generic_bratteli(args.depth)
-        kind = "generic"
-    else:
-        graph = yb.truncated_bratteli(args.spec, args.depth)
-        kind = args.spec.label()
+    try:
+        if args.spec is None:
+            graph = yb.generic_bratteli(args.depth)
+            kind = "generic"
+        else:
+            graph = yb.truncated_bratteli(args.spec, args.depth)
+            kind = args.spec.label()
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.format == "dot":
         _emit(yb.bratteli_dot(graph, title=kind), args.out)
     elif args.format == "json":

@@ -206,9 +206,6 @@ class LaurentPoly2:
             g = gcd(g, c)
         return g
 
-    def evaluate(self, r_val: int, s_val: int) -> float:
-        return sum(c * r_val**a * s_val**b for (a, b), c in self._terms.items())
-
     def to_triples(self) -> list[list[int]]:
         return [[a, b, c] for a, b, c in self.terms()]
 
@@ -687,9 +684,6 @@ class LaurentPoly1:
         res = LaurentPoly1()
         res._terms = quot
         return res
-
-    def evaluate(self, q_val) -> float:
-        return sum(c * q_val**e for e, c in self._terms.items())
 
     def to_pairs(self) -> list[list[int]]:
         return [[e, c] for e, c in self.terms()]

@@ -174,6 +174,89 @@ class TestSumRuleCommonDenominator:
                 assert got.num == want.num and got.den == want.den, shape
 
 
+class TestSumRuleGroupedByHooks:
+    def test_holds_at_9(self):
+        assert yb.sum_rule_check(9)
+
+    def test_negated_conjugate_partner_fails(self, monkeypatch):
+        # (3, 1) and (2, 1, 1) are conjugate, so they share a hook multiset
+        # and one group; negating one of them must still break the rule
+        real = yb._weight_parts
+        assert real((3, 1))[1] == real((2, 1, 1))[1]
+
+        def negated(shape):
+            num, hooks = real(shape)
+            return (-num if shape == (3, 1) else num), hooks
+
+        monkeypatch.setattr(yb, "_weight_parts", negated)
+        assert not yb.sum_rule_check(4)
+
+
+def all_pairs_edges(graph):
+    """Oracle: every one-box pair between adjacent levels, by testing all
+    pairs, lower shape first, then upper-level order."""
+    return tuple(
+        tuple((lo, hi) for lo in graph.levels[k] for hi in graph.levels[k + 1]
+              if yb.differ_by_one_box(lo, hi))
+        for k in range(graph.depth))
+
+
+def cross_multiplied_weights_equal(shape, n):
+    """Oracle: specialize the two-variable weight, then cross-multiply."""
+    w = yb.trace_weight(shape)
+    osp, so = Specialization.osp(n), Specialization.so(n)
+    return (specialize(w.num, osp) * specialize(w.den, so)
+            - specialize(w.num, so) * specialize(w.den, osp)).is_zero
+
+
+class TestNeighbourEdges:
+    def test_generic_matches_all_pairs(self):
+        for depth in range(0, 11):
+            graph = yb.generic_bratteli(depth)
+            assert graph.edges == all_pairs_edges(graph), depth
+
+    def test_truncated_matches_all_pairs(self):
+        for n in (1, 2, 3):
+            for spec in (Specialization.osp(n), Specialization.so(n)):
+                for depth in range(0, 11):
+                    graph = yb.truncated_bratteli(spec, depth)
+                    assert graph.edges == all_pairs_edges(graph), (spec, depth)
+
+    def test_negative_depth_raises(self):
+        with pytest.raises(ValueError):
+            yb.generic_bratteli(-1)
+        with pytest.raises(ValueError):
+            yb.truncated_bratteli(Specialization.osp(1), -1)
+
+
+class TestWeightsEqualByFactors:
+    def test_matches_cross_multiplied_weight(self):
+        for size in range(0, 10):
+            for shape in yb.young_level(size):
+                for n in (1, 2, 3):
+                    assert (yb.specialized_weights_equal(shape, n)
+                            == cross_multiplied_weights_equal(shape, n)), (
+                                shape, n)
+
+    def test_factor_times_r_fails(self, monkeypatch):
+        # r goes to -q^(2n) under osp and to q^(2n) under so, so one extra
+        # factor r flips the sign of one side: only a zero weight survives
+        cases = [(shape, n) for size in range(1, 8)
+                 for shape in yb.young_level(size) for n in (1, 2, 3)
+                 if yb.specialized_weight_nonzero(shape, Specialization.osp(n))]
+        assert len(cases) > 100
+        real = yb._box_factors
+
+        def times_r(shape):
+            for index, (factor, hook) in enumerate(real(shape)):
+                yield (factor * r_pow(1) if index == len(shape) - 1
+                       else factor), hook
+
+        monkeypatch.setattr(yb, "_box_factors", times_r)
+        for shape, n in cases:
+            assert not yb.specialized_weights_equal(shape, n), (shape, n)
+
+
 class TestGraph:
     def test_path_counts_level_3(self):
         g = yb.generic_bratteli(3)

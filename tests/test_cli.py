@@ -142,6 +142,13 @@ class TestBratteli:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("spec", [[], ["--spec", "osp:1"]])
+    def test_negative_depth_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "bratteli", "--depth", "-1", *spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "bratteli", "--depth", "3",
                            "--format", "json")
