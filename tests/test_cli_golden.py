@@ -1,8 +1,8 @@
 """Byte-exact CLI output on a fixed corpus.
 
 ``cli_golden.json`` holds the stdout of ``bwmlink invariant``,
-``bwmlink torus``, ``bwmlink bratteli`` and the Bratteli ``bwmlink verify``
-suites for every command line below.  Engine changes must leave
+``bwmlink torus``, ``bwmlink bratteli`` and the Bratteli, Markov and oracle
+``bwmlink verify`` suites for every command line below.  Engine changes must leave
 it byte-identical.  After an intended change of output format, regenerate it
 with ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
@@ -37,6 +37,8 @@ VERIFY_LINES = [
     ["verify", "sumrule", "--max-f", "8"],
     ["verify", "omega", "--max-f", "8"],
     ["verify", "lemma2", "--max-size", "7", "--max-n", "3"],
+    ["verify", "markov", "--words", "20"],
+    ["verify", "oracle", "--m", "-6..8"],
 ]
 
 
