@@ -17,9 +17,9 @@ from .closed_forms import (GeneratorPower, generator_power,
                            symmetry_check, torus2_invariant)
 from .diagram import Crossing, PlanarDiagram
 from .laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
-                      QFraction, RationalFn2, Specialization, flip_vars,
-                      loop_value, one_var_equal, quantum_dimension, r_pow,
-                      s_pow, specialize)
+                      QFraction, Quotient, RationalFn2, Specialization,
+                      flip_vars, loop_value, one_var_equal, quantum_dimension,
+                      r_pow, s_pow, specialize)
 from .skein import (SkeinEngine, kauffman_polynomial, osp_invariant,
                     regular_isotopy_poly, so_invariant)
 
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidParseError", "BraidWord", "BratteliGraph", "Crossing", "DELTA",
     "GeneratorPower", "LaurentPoly1", "LaurentPoly2", "LocalizedPoly",
-    "PlanarDiagram", "QFraction", "RationalFn2", "SkeinEngine",
+    "PlanarDiagram", "QFraction", "Quotient", "RationalFn2", "SkeinEngine",
     "Specialization", "X_NUM", "bmw_level", "bratteli_dot", "bratteli_json",
     "closure_diagram", "closure_permutation", "component_count", "conjugate",
     "conjugate_shape", "d_stat", "exponent_sum", "flip_vars", "free_reduce",

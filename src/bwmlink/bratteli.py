@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly1, LaurentPoly2,
-                      RationalFn2, Specialization, s_pow, specialize)
+                      Quotient, Specialization, s_pow, specialize)
 
 Shape = tuple[int, ...]
 
@@ -171,22 +171,22 @@ def _hook_product(hooks: Mapping[int, int]) -> LaurentPoly2:
     return out
 
 
-def trace_weight(shape: Shape) -> RationalFn2:
+def trace_weight(shape: Shape) -> Quotient:
     """The product-formula weight of a shape (1 for the empty shape).
 
-    Assembled as one quotient: numerator and denominator are the products
-    of the per-box factors, with no reduction beyond integer content.
+    Assembled as one unreduced quotient: numerator and denominator are the
+    products of the per-box factors.
     """
     num, hooks = _weight_parts(shape)
-    return RationalFn2(num, _hook_product(hooks))
+    return Quotient(num, _hook_product(hooks))
 
 
-def matrix_unit_trace(shape: Shape, f: int) -> RationalFn2:
+def matrix_unit_trace(shape: Shape, f: int) -> Quotient:
     """Trace of a diagonal matrix unit at level f: weight(shape) / x^f."""
     if shape not in bmw_level(f):
         raise ValueError(f"shape {list(shape)} is not on level {f}")
     w = trace_weight(shape)
-    return RationalFn2(w.num * DELTA**f, w.den * X_NUM**f)
+    return Quotient(w.num * DELTA**f, w.den * X_NUM**f)
 
 
 # ---------------------------------------------------------------------------

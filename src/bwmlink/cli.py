@@ -18,7 +18,7 @@ from . import bratteli as yb
 from .braid import (BraidParseError, BraidWord, component_count, conjugate,
                     exponent_sum, parse_braid, stabilize)
 from .closed_forms import parity_check, symmetry_check, torus2_invariant
-from .laurent import (LaurentPoly1, LocalizedPoly, QFraction,
+from .laurent import (LaurentPoly1, LocalizedPoly, Quotient,
                       Specialization, specialize)
 from .skein import SkeinEngine
 
@@ -70,7 +70,7 @@ def _value_json(value):
                 "variables": ["r", "s"]}
     if isinstance(value, LaurentPoly1):
         return {"terms": value.to_pairs(), "variables": ["q"]}
-    if isinstance(value, QFraction):
+    if isinstance(value, Quotient):
         return {"num": value.num.to_pairs(), "den": value.den.to_pairs(),
                 "variables": ["q"]}
     raise TypeError(f"unexpected value type {type(value).__name__}")

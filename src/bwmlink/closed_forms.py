@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import (DELTA, X_NUM, LaurentPoly2, LocalizedPoly, RationalFn2,
+from .laurent import (DELTA, X_NUM, LaurentPoly2, LocalizedPoly, Quotient,
                       loop_value, r_pow)
 
 _ONE = LaurentPoly2.const(1)
@@ -53,7 +53,7 @@ def generator_power(m: int) -> GeneratorPower:
     return GeneratorPower(m, a, b, c)
 
 
-def generator_power_trace(m: int) -> RationalFn2:
+def generator_power_trace(m: int) -> Quotient:
     """Trace of g^m: a_m + (b_m r + c_m) / x, with x the loop value.
 
     1/x is not representable over powers of (s - s^-1) alone, so the value
@@ -61,7 +61,7 @@ def generator_power_trace(m: int) -> RationalFn2:
     """
     a, b, c = _row(m)
     num = a * X_NUM + (b * r_pow(1) + c) * DELTA
-    return RationalFn2(num, X_NUM)
+    return Quotient(num, X_NUM)
 
 
 def torus2_invariant(m: int) -> LocalizedPoly:

@@ -4,13 +4,21 @@ specialization).
 Four value types:
 
 * ``LaurentPoly2``  -- integer-coefficient Laurent polynomial in r and s.
+* ``LaurentPoly1``  -- integer-coefficient Laurent polynomial in q, the
+  target of the specializations r -> +-q^(2n), s -> +-q.
 * ``LocalizedPoly`` -- a ``LaurentPoly2`` divided by a power of (s - s^-1),
   kept in normalized form.  This ring carries the skein engine's values and
   the loop constant x.
-* ``RationalFn2``   -- quotient of two ``LaurentPoly2`` values, compared by
-  cross-multiplication (no GCD reduction, only content reduction).
-* ``LaurentPoly1``  -- integer-coefficient Laurent polynomial in q, the
-  target of the specializations r -> +-q^(2n), s -> +-q.
+* ``Quotient``      -- num / den of two Laurent polynomials in the same
+  variables, never reduced and compared by cross-multiplication.
+  ``RationalFn2`` and ``QFraction`` are other names for it.
+
+The two polynomial classes share one sparse core, ``_Laurent``: a map from
+exponent key to nonzero coefficient, with everything that does not depend
+on the shape of the key.  Each subclass keeps only its product kernel, its
+exact division and its key helpers.  ``LaurentPoly2`` keys are
+(r_exp, s_exp) pairs; ``LaurentPoly1`` keys are plain ints, because 1-tuple
+keys made its product kernel 1.3-1.6x slower.
 
 All values are immutable; every operation returns a fresh value.
 """
@@ -18,7 +26,6 @@ All values are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Mapping
 
 
@@ -35,63 +42,67 @@ def _power(base, n: int, one):
 
 
 # ---------------------------------------------------------------------------
-# two-variable Laurent polynomials
+# the sparse core shared by the polynomial classes
 
 
-class LaurentPoly2:
-    """Sparse Laurent polynomial in r, s with integer coefficients.
+class _Laurent:
+    """Sparse Laurent polynomial with integer coefficients.
 
-    Terms are stored as a map (r_exp, s_exp) -> coeff with no zero
-    coefficients.  Equality is term-map equality.
+    Terms are stored as a map exponent key -> coeff with no zero
+    coefficients.  Equality is term-map equality within one class;
+    polynomials in different variables are never equal.  A subclass names
+    its variables (``_NAMES``), converts between keys and exponent tuples
+    (``_key``, ``_exps``) and supplies ``__mul__`` and ``exact_div``.
     """
 
     __slots__ = ("_terms",)
+    _NAMES: tuple[str, ...] = ()
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self._terms: dict[tuple[int, int], int] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if c:
-                    self._terms[(a, b)] = self._terms.get((a, b), 0) + c
-            self._terms = {k: v for k, v in self._terms.items() if v}
+    def __init__(self, terms: Mapping | None = None):
+        self._terms: dict = {k: c for k, c in terms.items() if c} if terms else {}
 
-    @staticmethod
-    def term(coeff: int, r_exp: int = 0, s_exp: int = 0) -> LaurentPoly2:
-        return LaurentPoly2({(r_exp, s_exp): coeff})
+    @classmethod
+    def _make(cls, terms: dict):
+        """A value owning ``terms``, which must hold no zero coefficient."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
-    @staticmethod
-    def const(n: int) -> LaurentPoly2:
-        return LaurentPoly2({(0, 0): n})
+    @classmethod
+    def const(cls, n: int):
+        return cls({cls._key((0,) * len(cls._NAMES)): n})
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, r_exp: int, s_exp: int) -> int:
-        return self._terms.get((r_exp, s_exp), 0)
+    def terms(self) -> Iterator[tuple[int, ...]]:
+        """Yield (exponents..., coeff) tuples in canonical ascending order."""
+        exps = self._exps
+        for k in sorted(self._terms):
+            yield (*exps(k), self._terms[k])
 
-    def terms(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (r_exp, s_exp, coeff) triples in canonical ascending order."""
-        for (a, b) in sorted(self._terms):
-            yield a, b, self._terms[(a, b)]
+    def to_lists(self) -> list[list[int]]:
+        """The terms as lists [exponents..., coeff], for JSON output."""
+        return [list(t) for t in self.terms()]
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly2.const(other)
-        if not isinstance(other, LaurentPoly2):
+            other = self.const(other)
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: LaurentPoly2 | int) -> LaurentPoly2:
+    def __add__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly2.const(other)
-        if not isinstance(other, LaurentPoly2):
+            other = self.const(other)
+        elif type(other) is not type(self):
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
@@ -99,34 +110,85 @@ class LaurentPoly2:
             if n:
                 out[k] = n
             else:
-                out.pop(k, None)
-        res = LaurentPoly2()
-        res._terms = out
-        return res
+                del out[k]
+        return self._make(out)
 
     __radd__ = __add__
 
-    def __neg__(self) -> LaurentPoly2:
-        res = LaurentPoly2()
-        res._terms = {k: -c for k, c in self._terms.items()}
-        return res
+    def __neg__(self):
+        return self._make({k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other: LaurentPoly2 | int) -> LaurentPoly2:
+    def __sub__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly2.const(other)
+            other = self.const(other)
         return self + (-other)
 
-    def __rsub__(self, other: int) -> LaurentPoly2:
+    def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other: LaurentPoly2 | int) -> LaurentPoly2:
-        if isinstance(other, int):
-            res = LaurentPoly2()
-            if other:
-                res._terms = {k: c * other for k, c in self._terms.items()}
-            return res
-        if not isinstance(other, LaurentPoly2):
+    def _scaled(self, n):
+        """self * n for an int n; NotImplemented for any other operand."""
+        if not isinstance(n, int):
             return NotImplemented
+        return self._make({k: c * n for k, c in self._terms.items()} if n else {})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            if len(self._terms) == 1:
+                ((k, c),) = self._terms.items()
+                if c in (1, -1):
+                    key = self._key(tuple(e * n for e in self._exps(k)))
+                    return self._make({key: c ** (n & 1 or 2)})
+            raise ValueError("negative powers only for unit monomials")
+        return _power(self, n, self.const(1))
+
+    def flip_vars(self):
+        """The value with every variable negated: each term picks up
+        (-1)^(total degree)."""
+        exps = self._exps
+        return self._make({k: (-c if sum(exps(k)) % 2 else c)
+                           for k, c in self._terms.items()})
+
+    def to_text(self) -> str:
+        if not self._terms:
+            return "0"
+        parts: list[str] = []
+        for *exps, c in self.terms():
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(self._NAMES, exps) if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            if parts:
+                parts.append((" - " if c < 0 else " + ") + "*".join(factors))
+            else:
+                parts.append(("-" if c < 0 else "") + "*".join(factors))
+        return "".join(parts)
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self.to_text()}')"
+
+
+# ---------------------------------------------------------------------------
+# two-variable Laurent polynomials
+
+
+class LaurentPoly2(_Laurent):
+    """Sparse Laurent polynomial in r, s; terms keyed by (r_exp, s_exp)."""
+
+    __slots__ = ()
+    _NAMES = ("r", "s")
+    _key = _exps = staticmethod(tuple)
+
+    @staticmethod
+    def term(coeff: int, r_exp: int = 0, s_exp: int = 0) -> LaurentPoly2:
+        return LaurentPoly2({(r_exp, s_exp): coeff})
+
+    def __mul__(self, other: LaurentPoly2 | int) -> LaurentPoly2:
+        if type(other) is not LaurentPoly2:
+            return self._scaled(other)
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -136,28 +198,9 @@ class LaurentPoly2:
                     out[k] = n
                 else:
                     del out[k]
-        res = LaurentPoly2()
-        res._terms = out
-        return res
+        return LaurentPoly2._make(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly2:
-        if n < 0:
-            if len(self._terms) == 1:
-                ((a, b), c) = next(iter(self._terms.items()))
-                if c in (1, -1):
-                    return LaurentPoly2({(a * n, b * n): c ** (n & 1 or 2)})
-            raise ValueError("negative powers only for unit monomials")
-        return _power(self, n, LaurentPoly2.const(1))
-
-    def flip_vars(self) -> LaurentPoly2:
-        """Return self(-r, -s): each term picks up (-1)^(r_exp + s_exp)."""
-        res = LaurentPoly2()
-        res._terms = {
-            (a, b): (-c if (a + b) % 2 else c) for (a, b), c in self._terms.items()
-        }
-        return res
 
     def exact_div(self, d: LaurentPoly2) -> LaurentPoly2 | None:
         """Exact quotient self / d in the Laurent ring, or None.
@@ -195,30 +238,9 @@ class LaurentPoly2:
                     rem.pop(k, None)
         # undo the shifts: self/d = quot * r^(pmin-dmin) s^(...)
         sa, sb = pmin[0] - dmin[0], pmin[1] - dmin[1]
-        res = LaurentPoly2()
-        res._terms = {(a + sa, b + sb): c for (a, b), c in quot.items()}
-        return res
+        return LaurentPoly2._make({(a + sa, b + sb): c for (a, b), c in quot.items()})
 
-    def content(self) -> int:
-        """GCD of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._terms.values():
-            g = gcd(g, c)
-        return g
-
-    def to_triples(self) -> list[list[int]]:
-        return [[a, b, c] for a, b, c in self.terms()]
-
-    def to_text(self) -> str:
-        return _format_terms(
-            [((a, b), c) for a, b, c in self.terms()], ("r", "s")
-        )
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly2('{self.to_text()}')"
+    to_triples = _Laurent.to_lists
 
 
 def r_pow(e: int = 1) -> LaurentPoly2:
@@ -237,28 +259,74 @@ DELTA = LaurentPoly2({(0, 1): 1, (0, -1): -1})
 X_NUM = LaurentPoly2({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1})
 
 
-def _format_terms(items, names) -> str:
-    """Render (exps, coeff) pairs; exps aligned with variable names."""
-    if not items:
-        return "0"
-    parts: list[str] = []
-    for exps, c in items:
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^{e}")
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(abs(c))] + factors)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+# ---------------------------------------------------------------------------
+# one-variable Laurent polynomials in q
+
+
+class LaurentPoly1(_Laurent):
+    """Sparse Laurent polynomial in q; terms keyed by the exponent itself."""
+
+    __slots__ = ()
+    _NAMES = ("q",)
+
+    @staticmethod
+    def _key(exps: tuple[int]) -> int:
+        return exps[0]
+
+    @staticmethod
+    def _exps(e: int) -> tuple[int]:
+        return (e,)
+
+    @staticmethod
+    def term(coeff: int, q_exp: int = 0) -> LaurentPoly1:
+        return LaurentPoly1({q_exp: coeff})
+
+    def __mul__(self, other: LaurentPoly1 | int) -> LaurentPoly1:
+        if type(other) is not LaurentPoly1:
+            return self._scaled(other)
+        out: dict[int, int] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                k = e1 + e2
+                n = out.get(k, 0) + c1 * c2
+                if n:
+                    out[k] = n
+                else:
+                    del out[k]
+        return LaurentPoly1._make(out)
+
+    __rmul__ = __mul__
+
+    def exact_div(self, d: LaurentPoly1) -> LaurentPoly1 | None:
+        if d.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if self.is_zero:
+            return LaurentPoly1()
+        rem = dict(self._terms)
+        dlt = max(d._terms)
+        dlc = d._terms[dlt]
+        dmin = min(d._terms)
+        quot: dict[int, int] = {}
+        while rem:
+            lt = max(rem)
+            if min(rem) - dmin > lt - dlt:
+                return None  # remainder narrower than divisor
+            lc = rem[lt]
+            if lc % dlc:
+                return None
+            q = lc // dlc
+            e = lt - dlt
+            quot[e] = q
+            for de, dc in d._terms.items():
+                k = de + e
+                n = rem.get(k, 0) - q * dc
+                if n:
+                    rem[k] = n
+                else:
+                    rem.pop(k, None)
+        return LaurentPoly1._make(quot)
+
+    to_pairs = _Laurent.to_lists
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +360,7 @@ def _div_delta(p: LaurentPoly2) -> LaurentPoly2 | None:
             above, here = here, below
         if above or here:
             return None
-    res = LaurentPoly2()
-    res._terms = out
-    return res
+    return LaurentPoly2._make(out)
 
 
 class LocalizedPoly:
@@ -423,298 +489,39 @@ def loop_value() -> LocalizedPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational functions in r, s
+# quotients
 
 
-class RationalFn2:
-    """Quotient num/den of two-variable Laurent polynomials.
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """num / den of two Laurent polynomials in the same variables.
 
-    Equality is by cross-multiplication; construction applies only content
-    reduction (integer gcd, a common monomial and the denominator's sign),
-    never a polynomial GCD.
+    The denominator must be nonzero.  The pair is stored as given and never
+    reduced: no GCD, no content, no sign or monomial shift.  Equality
+    cross-multiplies against another ``Quotient``, an int, a polynomial or
+    a ``LocalizedPoly``, in either direction; values in different variables
+    are unequal.  Equal values can have different pairs, so a ``Quotient``
+    is unhashable.
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly2, den: LaurentPoly2):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num, self.den = ZERO2, ONE2
-            return
-        # shift the common monomial so the denominator starts at exponent 0
-        da = min(a for a, _ in den._terms)
-        db = min(b for _, b in den._terms)
-        shift = LaurentPoly2.term(1, -da, -db)
-        num, den = num * shift, den * shift
-        g = gcd(num.content(), den.content())
-        if den._terms[max(den._terms)] < 0:
-            g = -g
-        if g != 1:
-            num = LaurentPoly2({k: c // g for k, c in num._terms.items()})
-            den = LaurentPoly2({k: c // g for k, c in den._terms.items()})
-        self.num, self.den = num, den
-
-    @staticmethod
-    def from_poly(p: LaurentPoly2 | int) -> RationalFn2:
-        if isinstance(p, int):
-            p = LaurentPoly2.const(p)
-        return RationalFn2(p, ONE2)
-
-    @staticmethod
-    def from_localized(p: LocalizedPoly) -> RationalFn2:
-        return RationalFn2(p.num, DELTA**p.k)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, LaurentPoly2)):
-            other = RationalFn2.from_poly(other)
-        elif isinstance(other, LocalizedPoly):
-            other = RationalFn2.from_localized(other)
-        if not isinstance(other, RationalFn2):
-            return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero
-
-    def __hash__(self) -> int:
-        raise TypeError("RationalFn2 is unhashable (equality is by value)")
-
-    def _coerce(self, other):
-        if isinstance(other, (int, LaurentPoly2)):
-            return RationalFn2.from_poly(other)
-        if isinstance(other, LocalizedPoly):
-            return RationalFn2.from_localized(other)
-        return other if isinstance(other, RationalFn2) else None
-
-    def __add__(self, other) -> RationalFn2:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFn2(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFn2:
-        return RationalFn2(-self.num, self.den)
-
-    def __sub__(self, other) -> RationalFn2:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> RationalFn2:
-        if isinstance(other, int):
-            return RationalFn2(self.num * other, self.den)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFn2(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> RationalFn2:
-        if n < 0:
-            return RationalFn2(self.den, self.num) ** (-n)
-        return _power(self, n, RationalFn2.from_poly(1))
-
-    def flip_vars(self) -> RationalFn2:
-        return RationalFn2(self.num.flip_vars(), self.den.flip_vars())
-
-    def to_text(self) -> str:
-        if self.den == ONE2:
-            return self.num.to_text()
-        return f"({self.num.to_text()}) / ({self.den.to_text()})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"RationalFn2('{self.to_text()}')"
-
-
-# ---------------------------------------------------------------------------
-# one-variable Laurent polynomials in q
-
-
-class LaurentPoly1:
-    """Sparse Laurent polynomial in q with integer coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        self._terms: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self._terms[e] = self._terms.get(e, 0) + c
-            self._terms = {k: v for k, v in self._terms.items() if v}
-
-    @staticmethod
-    def term(coeff: int, q_exp: int = 0) -> LaurentPoly1:
-        return LaurentPoly1({q_exp: coeff})
-
-    @staticmethod
-    def const(n: int) -> LaurentPoly1:
-        return LaurentPoly1({0: n})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coeff(self, q_exp: int) -> int:
-        return self._terms.get(q_exp, 0)
-
-    def terms(self) -> Iterator[tuple[int, int]]:
-        for e in sorted(self._terms):
-            yield e, self._terms[e]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly1.const(other)
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: LaurentPoly1 | int) -> LaurentPoly1:
-        if isinstance(other, int):
-            other = LaurentPoly1.const(other)
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            n = out.get(e, 0) + c
-            if n:
-                out[e] = n
-            else:
-                out.pop(e, None)
-        res = LaurentPoly1()
-        res._terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly1:
-        res = LaurentPoly1()
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly1.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other: LaurentPoly1 | int) -> LaurentPoly1:
-        if isinstance(other, int):
-            res = LaurentPoly1()
-            if other:
-                res._terms = {e: c * other for e, c in self._terms.items()}
-            return res
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                k = e1 + e2
-                n = out.get(k, 0) + c1 * c2
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-        res = LaurentPoly1()
-        res._terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly1:
-        if n < 0:
-            if len(self._terms) == 1:
-                (e, c) = next(iter(self._terms.items()))
-                if c in (1, -1):
-                    return LaurentPoly1({e * n: c ** (n & 1 or 2)})
-            raise ValueError("negative powers only for unit monomials")
-        return _power(self, n, LaurentPoly1.const(1))
-
-    def flip_q(self) -> LaurentPoly1:
-        """Return self(-q)."""
-        res = LaurentPoly1()
-        res._terms = {e: (-c if e % 2 else c) for e, c in self._terms.items()}
-        return res
-
-    def exact_div(self, d: LaurentPoly1) -> LaurentPoly1 | None:
-        if d.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly1()
-        rem = dict(self._terms)
-        dlt = max(d._terms)
-        dlc = d._terms[dlt]
-        dmin = min(d._terms)
-        quot: dict[int, int] = {}
-        while rem:
-            lt = max(rem)
-            if min(rem) - dmin > lt - dlt:
-                return None  # remainder narrower than divisor
-            lc = rem[lt]
-            if lc % dlc:
-                return None
-            q = lc // dlc
-            e = lt - dlt
-            quot[e] = q
-            for de, dc in d._terms.items():
-                k = de + e
-                n = rem.get(k, 0) - q * dc
-                if n:
-                    rem[k] = n
-                else:
-                    rem.pop(k, None)
-        res = LaurentPoly1()
-        res._terms = quot
-        return res
-
-    def to_pairs(self) -> list[list[int]]:
-        return [[e, c] for e, c in self.terms()]
-
-    def to_text(self) -> str:
-        return _format_terms([((e,), c) for e, c in self.terms()], ("q",))
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly1('{self.to_text()}')"
-
-
-@dataclass(frozen=True)
-class QFraction:
-    """Quotient of two one-variable Laurent polynomials (nonzero denominator).
-
-    Produced by specialization when the denominator does not divide the
-    numerator exactly; compared by cross-multiplication.
-    """
-
-    num: LaurentPoly1
-    den: LaurentPoly1
+    num: _Laurent
+    den: _Laurent
 
     def __post_init__(self):
         if self.den.is_zero:
-            raise ZeroDivisionError("QFraction with zero denominator")
+            raise ZeroDivisionError("quotient with zero denominator")
 
-    def exact(self) -> LaurentPoly1 | None:
-        return self.num.exact_div(self.den)
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Quotient):
+            num, den = other.num, other.den
+        elif isinstance(other, LocalizedPoly):
+            num, den = other.num, DELTA ** other.k
+        else:
+            num, den = other, 1
+        ring = (int, type(self.den))
+        if not (isinstance(num, ring) and isinstance(den, ring)):
+            return NotImplemented
+        return (self.num * den - num * self.den).is_zero
 
     def to_text(self) -> str:
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
@@ -723,11 +530,13 @@ class QFraction:
         return self.to_text()
 
 
-def one_var_equal(u: LaurentPoly1 | QFraction, v: LaurentPoly1 | QFraction) -> bool:
-    """Equality of specialized values, tolerating the fraction form."""
-    un, ud = (u.num, u.den) if isinstance(u, QFraction) else (u, LaurentPoly1.const(1))
-    vn, vd = (v.num, v.den) if isinstance(v, QFraction) else (v, LaurentPoly1.const(1))
-    return (un * vd - vn * ud).is_zero
+# the earlier names of the two-variable and the one-variable quotient
+RationalFn2 = QFraction = Quotient
+
+
+def one_var_equal(u: LaurentPoly1 | Quotient, v: LaurentPoly1 | Quotient) -> bool:
+    """Equality of specialized values, polynomial or quotient: ``u == v``."""
+    return u == v
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +578,9 @@ class Specialization:
 def specialize(value, spec: Specialization):
     """Substitute r, s by the one-variable images and collect exactly.
 
-    LaurentPoly2 inputs give a LaurentPoly1.  LocalizedPoly and RationalFn2
-    inputs give a LaurentPoly1 when the specialized denominator divides the
-    specialized numerator, a QFraction otherwise.
+    LaurentPoly2 inputs give a LaurentPoly1.  LocalizedPoly and two-variable
+    Quotient inputs give a LaurentPoly1 when the specialized denominator
+    divides the specialized numerator, a Quotient in q otherwise.
     """
     if isinstance(value, LaurentPoly2):
         out: dict[int, int] = {}
@@ -786,13 +595,11 @@ def specialize(value, spec: Specialization):
                 out[e] = n
             else:
                 del out[e]
-        res = LaurentPoly1()
-        res._terms = out
-        return res
+        return LaurentPoly1._make(out)
     if isinstance(value, LocalizedPoly):
         num = specialize(value.num, spec)
         den = specialize(DELTA, spec) ** value.k
-    elif isinstance(value, RationalFn2):
+    elif isinstance(value, Quotient):
         num = specialize(value.num, spec)
         den = specialize(value.den, spec)
     else:
@@ -800,13 +607,11 @@ def specialize(value, spec: Specialization):
     if den.is_zero:
         raise ZeroDivisionError("specialized denominator vanished")
     q = num.exact_div(den)
-    return q if q is not None else QFraction(num, den)
+    return q if q is not None else Quotient(num, den)
 
 
 def flip_vars(p):
     """p(-r, -s) for the two-variable types, p(-q) for LaurentPoly1."""
-    if isinstance(p, LaurentPoly1):
-        return p.flip_q()
     return p.flip_vars()
 
 

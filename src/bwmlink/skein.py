@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, closure_diagram, exponent_sum
 from .diagram import PlanarDiagram
-from .laurent import (DELTA, LaurentPoly1, LocalizedPoly, QFraction,
+from .laurent import (DELTA, LaurentPoly1, LocalizedPoly, Quotient,
                       Specialization, loop_value, r_pow, specialize)
 
 _X = loop_value()
@@ -112,12 +112,12 @@ def kauffman_polynomial(b: BraidWord,
 
 
 def osp_invariant(b: BraidWord, n: int,
-                  engine: SkeinEngine | None = None) -> LaurentPoly1 | QFraction:
+                  engine: SkeinEngine | None = None) -> LaurentPoly1 | Quotient:
     """One-variable invariant at r -> -q^(2n), s -> q."""
     return specialize(kauffman_polynomial(b, engine), Specialization.osp(n))
 
 
 def so_invariant(b: BraidWord, n: int,
-                 engine: SkeinEngine | None = None) -> LaurentPoly1 | QFraction:
+                 engine: SkeinEngine | None = None) -> LaurentPoly1 | Quotient:
     """One-variable invariant at r -> q^(2n), s -> -q."""
     return specialize(kauffman_polynomial(b, engine), Specialization.so(n))

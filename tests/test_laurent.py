@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bwmlink
 from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2,
-                             LocalizedPoly, QFraction, RationalFn2,
+                             LocalizedPoly, QFraction, Quotient, RationalFn2,
                              Specialization, _div_delta, flip_vars, loop_value,
                              one_var_equal, quantum_dimension, r_pow, s_pow,
                              specialize)
@@ -186,14 +187,14 @@ class TestLocalized:
 
 class TestRationalFn:
     def test_cross_multiplied_equality(self):
-        assert RationalFn2(R * DELTA, DELTA) == RationalFn2.from_poly(R)
+        assert RationalFn2(R * DELTA, DELTA) == R
 
     @given(polys2(), polys2())
     @settings(max_examples=60)
     def test_scaling_invariance(self, p, d):
         if d.is_zero:
             return
-        assert RationalFn2(p * d, d) == RationalFn2.from_poly(p)
+        assert RationalFn2(p * d, d) == p
 
     @given(polys2(), polys2(), polys2())
     @settings(max_examples=40)
@@ -205,9 +206,69 @@ class TestRationalFn:
         c = RationalFn2(p * q * d * d, d * d * d)
         assert a == b and b == c and a == c
 
-    def test_arithmetic(self):
-        half_x = RationalFn2(X_NUM, DELTA * 2)
-        assert half_x + half_x == RationalFn2.from_localized(loop_value())
+
+@st.composite
+def polys1(draw, max_terms=4, max_exp=4, max_coeff=5):
+    terms = draw(st.dictionaries(st.integers(-max_exp, max_exp),
+                                 st.integers(-max_coeff, max_coeff),
+                                 max_size=max_terms))
+    return LaurentPoly1(terms)
+
+
+class TestQuotient:
+    @given(st.one_of(st.tuples(polys2(), polys2()), st.tuples(polys1(), polys1())))
+    @settings(max_examples=80)
+    def test_equals_polynomial_both_ways(self, pair):
+        p, d = pair
+        if d.is_zero:
+            return
+        w = Quotient(p * d, d)
+        assert w == p and p == w
+        # negative control: a different polynomial is not equal
+        assert w != p + 1 and p + 1 != w
+
+    @given(polys2(), polys2(), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_equals_localized_both_ways(self, p, d, k):
+        if d.is_zero:
+            return
+        v = LocalizedPoly(p, k)
+        w = Quotient(p * d, DELTA**k * d)
+        assert w == v and v == w
+        assert w != v + 1 and v + 1 != w
+
+    def test_equals_int_both_ways(self):
+        assert Quotient(DELTA * 3, DELTA) == 3 and 3 == Quotient(DELTA * 3, DELTA)
+        assert Quotient(DELTA * 3, DELTA) != 2
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            Quotient(R, LaurentPoly2())
+        with pytest.raises(ZeroDivisionError):
+            Quotient(LaurentPoly1.const(1), LaurentPoly1())
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Quotient(R, DELTA))
+
+    def test_never_reduced(self):
+        w = Quotient(R * DELTA * 2, DELTA * 2)
+        assert (w.num, w.den) == (R * DELTA * 2, DELTA * 2)
+
+    def test_one_type_under_three_names(self):
+        assert bwmlink.RationalFn2 is bwmlink.QFraction is bwmlink.Quotient
+
+    def test_different_variables_unequal(self):
+        q = LaurentPoly1.const(1)
+        one2 = LaurentPoly2.const(1)
+        pairs = [(one2, q), (LocalizedPoly.from_poly(1), q),
+                 (Quotient(DELTA, DELTA), q),
+                 (Quotient(DELTA, DELTA), Quotient(q, q)),
+                 (Quotient(q, q), LocalizedPoly.from_poly(1)),
+                 (Quotient(q, q), one2)]
+        for u, v in pairs:
+            assert (u == v) is False and (v == u) is False
+            assert u != v and v != u
 
 
 class TestPower:
@@ -226,10 +287,6 @@ class TestPower:
     def test_localized(self):
         self.check(loop_value() - R, LocalizedPoly.from_poly(1))
 
-    def test_rational(self):
-        self.check(RationalFn2(X_NUM + R, DELTA * R + 1),
-                   RationalFn2.from_poly(1))
-
     def test_laurent_poly1(self):
         q = LaurentPoly1.term(1, 1)
         self.check(q - 2 + LaurentPoly1.term(3, -2), LaurentPoly1.const(1))
@@ -237,13 +294,6 @@ class TestPower:
     def test_localized_keeps_normal_form(self):
         v = loop_value() ** 5
         assert v.k == 5 and v.num == X_NUM**5
-
-    def test_rational_negative_power(self):
-        w = RationalFn2(X_NUM, DELTA)
-        assert w**-3 == RationalFn2(DELTA**3, X_NUM**3)
-        assert w**-3 * w**3 == RationalFn2.from_poly(1)
-        with pytest.raises(ZeroDivisionError):
-            RationalFn2.from_poly(0) ** -1
 
 
 class TestFlipVars:
