@@ -22,7 +22,8 @@ from .laurent import (LaurentPoly1, LocalizedPoly, Quotient,
                       Specialization, specialize)
 from .skein import SkeinEngine
 
-DEPTH_CAP = 8
+DEPTH_CAP = 8  # cap on Bratteli depths and on the verify --max-f range
+M_CAP = 100  # cap on |m| for torus --m and the verify --m and --max-m ranges
 
 MARKOV_CORPUS = [
     "B1:", "B2:", "B2: 1", "B2: 1 1", "B2: 1 1 1", "B2: -1 -1",
@@ -37,6 +38,15 @@ BRAID_RELATION_CORPUS = [
     "B4: 1 2 1 3", "B4: 2 3 2", "B4: 2 3 2 -1", "B4: 1 2 1 2 1",
     "B3: -1 1 2 1", "B4: 3 1 2 1 3",
 ]
+
+
+class _OverCap(Exception):
+    """An option over its cap; ``main`` prints one error line and exits 2."""
+
+
+def _cap(option: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise _OverCap(f"{option} {value} over cap {cap}")
 
 
 def _parse_spec(text: str) -> Specialization:
@@ -119,6 +129,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_torus(args) -> int:
     m = args.m
+    _cap("|m|", abs(m), M_CAP)
     engine = SkeinEngine()
     closed = torus2_invariant(m)
     word = BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m))
@@ -143,9 +154,7 @@ def cmd_torus(args) -> int:
 
 
 def cmd_bratteli(args) -> int:
-    if args.depth > DEPTH_CAP:
-        print(f"error: depth {args.depth} over cap {DEPTH_CAP}", file=sys.stderr)
-        return 2
+    _cap("depth", args.depth, DEPTH_CAP)
     try:
         if args.spec is None:
             graph = yb.generic_bratteli(args.depth)
@@ -174,7 +183,12 @@ def cmd_bratteli(args) -> int:
 # verification suites
 
 
+def _cap_m_range(args) -> None:
+    _cap("|m|", max(abs(m) for m in args.m_range), M_CAP)
+
+
 def _verify_oracle(args, report):
+    _cap_m_range(args)
     engine = SkeinEngine()
     lo, hi = args.m_range
     for m in range(lo, hi + 1):
@@ -184,22 +198,26 @@ def _verify_oracle(args, report):
 
 
 def _verify_parity(args, report):
+    _cap("max-m", args.max_m, M_CAP)
     for m in range(1, args.max_m + 1):
         report(f"parity m={m}", parity_check(m))
 
 
 def _verify_symmetry(args, report):
+    _cap_m_range(args)
     lo, hi = args.m_range
     for m in range(lo, hi + 1):
         report(f"symmetry m={m}", symmetry_check(m))
 
 
 def _verify_sumrule(args, report):
+    _cap("max-f", args.max_f, DEPTH_CAP)
     for f in range(0, args.max_f + 1):
         report(f"sumrule f={f}", yb.sum_rule_check(f))
 
 
 def _verify_omega(args, report):
+    _cap("max-f", args.max_f, DEPTH_CAP)
     expected = 1
     for f in range(1, args.max_f + 1):
         expected *= 2 * f - 1
@@ -343,7 +361,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(joined)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OverCap as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ for the skein engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .laurent import (DELTA, X_NUM, LaurentPoly2, LocalizedPoly, Quotient,
                       loop_value, r_pow)
@@ -36,15 +35,35 @@ class GeneratorPower:
     c: LaurentPoly2
 
 
-@lru_cache(maxsize=None)
+_rows: dict[int, tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]] = {}
+
+
 def _row(m: int) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
-    if m == 0:
-        return _ONE, _ZERO, _ZERO
-    if m > 0:
-        a, b, c = _row(m - 1)
-        return b, a + b * DELTA, -b * _R_INV * DELTA + c * _R_INV
-    a, b, c = _row(m + 1)
-    return b - a * DELTA, a, a * DELTA + c * r_pow(1)
+    """The row (a_m, b_m, c_m), memoized.
+
+    A missing row is computed in a loop from the nearest stored row between
+    m and 0, storing every row on the way, so no |m| deepens the call stack.
+    """
+    row = _rows.get(m)
+    if row is not None:
+        return row
+    step = 1 if m > 0 else -1
+    k = m
+    while k and k not in _rows:
+        k -= step
+    a, b, c = _rows.get(k, (_ONE, _ZERO, _ZERO))
+    while k != m:
+        k += step
+        if step > 0:
+            a, b, c = b, a + b * DELTA, -b * _R_INV * DELTA + c * _R_INV
+        else:
+            a, b, c = b - a * DELTA, a, a * DELTA + c * r_pow(1)
+        _rows[k] = (a, b, c)
+    return a, b, c
+
+
+# emptied like a functools cache by callers that reset every cache
+_row.cache_clear = _rows.clear
 
 
 def generator_power(m: int) -> GeneratorPower:

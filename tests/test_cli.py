@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bwmlink.cli import main
+from bwmlink.cli import DEPTH_CAP, M_CAP, main
 
 
 def run(capsys, *argv):
@@ -208,6 +208,28 @@ class TestVerify:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "nosuchsuite")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "omega", "--max-f", str(DEPTH_CAP + 1)],
+        ["verify", "sumrule", "--max-f", str(DEPTH_CAP + 1)],
+        ["verify", "parity", "--max-m", str(M_CAP + 1)],
+        ["verify", "oracle", "--m", f"0..{M_CAP + 1}"],
+        ["verify", "oracle", "--m", f"-{M_CAP + 1}..0"],
+        ["verify", "symmetry", "--m", f"0..{M_CAP + 1}"],
+        ["verify", "symmetry", "--m", f"-{M_CAP + 1}..0"],
+        ["torus", "--m", str(M_CAP + 1)],
+        ["torus", "--m", str(-M_CAP - 1)],
+    ], ids=" ".join)
+    def test_over_cap_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "over cap" in err
+
+    def test_parity_at_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "parity", "--max-m", str(M_CAP))
+        assert code == 0
+        assert out.count("PASS") == M_CAP
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         import bwmlink.cli as cli

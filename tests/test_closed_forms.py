@@ -1,3 +1,6 @@
+import sys
+
+import bwmlink.closed_forms as cf
 from bwmlink.closed_forms import (GeneratorPower, generator_power,
                                   generator_power_trace, parity_check,
                                   symmetry_check, torus2_invariant)
@@ -129,3 +132,37 @@ class TestSymmetry:
 
     def test_range(self):
         assert all(symmetry_check(m) for m in range(-6, 9))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestRowsWithoutRecursion:
+    def test_rows_past_the_recursion_limit(self):
+        # rows are filled in a loop, so |m| far above the frames left
+        # under the limit must work on an empty memo
+        cf._row.cache_clear()
+        limit = sys.getrecursionlimit()
+        low = _stack_depth() + 40
+        sys.setrecursionlimit(low)
+        try:
+            m = low + 10
+            assert parity_check(m) and parity_check(-m)
+            assert generator_power(m).m == m
+            assert generator_power(-m - 1).m == -m - 1
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_rows_independent_of_fill_order(self):
+        # the same rows whether computed upward from 0 or from a stored row
+        cf._row.cache_clear()
+        direct = [generator_power(m) for m in (-30, 30)]
+        cf._row.cache_clear()
+        stepped = [generator_power(m) for m in (-10, -30, 10, 30)]
+        assert stepped[1] == direct[0] and stepped[3] == direct[1]
+        cf._row.cache_clear()
+        assert [generator_power(m) for m in (10, -10)] == [stepped[2], stepped[0]]
