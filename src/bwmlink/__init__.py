@@ -4,7 +4,8 @@ structure, trace weights and the one-variable specializations."""
 
 from .braid import (BraidParseError, BraidWord, closure_diagram,
                     closure_permutation, component_count, conjugate,
-                    exponent_sum, free_reduce, parse_braid, stabilize)
+                    exponent_sum, free_reduce, isotopy_moves, parse_braid,
+                    stabilize)
 from .bratteli import (BratteliGraph, bmw_level, bratteli_dot, bratteli_json,
                        conjugate as conjugate_shape, d_stat, generic_bratteli,
                        hook_length, matrix_unit_trace, path_pair_count,
@@ -33,8 +34,8 @@ __all__ = [
     "closure_diagram", "closure_permutation", "component_count", "conjugate",
     "conjugate_shape", "d_stat", "exponent_sum", "flip_vars", "free_reduce",
     "enumerate_paths", "generator_power", "generator_power_trace",
-    "generic_bratteli",
-    "hook_length", "kauffman_polynomial", "loop_value", "matrix_unit_trace",
+    "generic_bratteli", "hook_length", "isotopy_moves", "kauffman_polynomial",
+    "loop_value", "matrix_unit_trace",
     "one_var_equal", "osp_invariant", "parity_check", "parse_braid",
     "path_pair_count", "quantum_dimension", "r_pow", "regular_isotopy_poly",
     "s_pow", "shape_label", "sign_identity_check", "so_invariant",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .diagram import Crossing, PlanarDiagram
 
@@ -165,6 +166,30 @@ def stabilize(b: BraidWord, sign: int = 1) -> BraidWord:
     if sign not in (1, -1):
         raise ValueError("stabilization sign must be +1 or -1")
     return BraidWord(b.strands + 1, b.letters + ((b.strands, sign),))
+
+
+def isotopy_moves(b: BraidWord) -> Iterator[tuple[str, BraidWord]]:
+    """Words one move away from b whose closures are isotopic to b's,
+    each tagged with its kind:
+
+    * ``"conjugate"``: b conjugated by each generator to the power +-1;
+    * ``"stabilize"``: b on one more strand with its last generator to the
+      power +-1 appended;
+    * ``"relation"``: each factor g_i g_(i+1) g_i of positive letters
+      rewritten to g_(i+1) g_i g_(i+1).
+    """
+    for g in range(1, b.strands):
+        for sign in (1, -1):
+            mover = BraidWord(b.strands, ((g, sign),))
+            yield "conjugate", conjugate(b, mover)
+    for sign in (1, -1):
+        yield "stabilize", stabilize(b, sign)
+    letters = b.letters
+    for p in range(len(letters) - 2):
+        (i1, e1), (i2, e2), (i3, e3) = letters[p:p + 3]
+        if i1 == i3 and i2 == i1 + 1 and e1 == e2 == e3 == 1:
+            swapped = letters[:p] + ((i2, 1), (i1, 1), (i2, 1)) + letters[p + 3:]
+            yield "relation", BraidWord(b.strands, swapped)
 
 
 def closure_diagram(b: BraidWord) -> PlanarDiagram:

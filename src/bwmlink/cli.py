@@ -15,8 +15,8 @@ import sys
 import time
 
 from . import bratteli as yb
-from .braid import (BraidParseError, BraidWord, component_count, conjugate,
-                    exponent_sum, parse_braid, stabilize)
+from .braid import (BraidParseError, BraidWord, component_count,
+                    exponent_sum, isotopy_moves, parse_braid)
 from .closed_forms import parity_check, symmetry_check, torus2_invariant
 from .laurent import (LaurentPoly1, LocalizedPoly, Quotient,
                       Specialization, specialize)
@@ -238,35 +238,22 @@ def _verify_lemma2(args, report):
                yb.sign_identity_check(shape))
 
 
+def _moves_keep_value(engine, text: str, kinds) -> tuple[int, bool]:
+    """How many ``isotopy_moves`` of the given kinds the word has, and
+    whether every one of them keeps its invariant."""
+    word = parse_braid(text)
+    base = engine.kauffman_polynomial(word)
+    moved = [w for kind, w in isotopy_moves(word) if kind in kinds]
+    return len(moved), all(engine.kauffman_polynomial(w) == base for w in moved)
+
+
 def _verify_markov(args, report):
     engine = SkeinEngine()
     for text in MARKOV_CORPUS[: args.words]:
-        word = parse_braid(text)
-        base = engine.kauffman_polynomial(word)
-        ok = True
-        for g in range(1, word.strands):
-            for sign in (1, -1):
-                mover = BraidWord(word.strands, ((g, sign),))
-                if engine.kauffman_polynomial(conjugate(word, mover)) != base:
-                    ok = False
-        for sign in (1, -1):
-            if engine.kauffman_polynomial(stabilize(word, sign)) != base:
-                ok = False
+        _, ok = _moves_keep_value(engine, text, ("conjugate", "stabilize"))
         report(f"markov word={text!r}", ok)
     for text in BRAID_RELATION_CORPUS[: args.words]:
-        word = parse_braid(text)
-        base = engine.kauffman_polynomial(word)
-        ok = True
-        rewrites = 0
-        letters = word.letters
-        for p in range(len(letters) - 2):
-            (i1, e1), (i2, e2), (i3, e3) = letters[p:p + 3]
-            if i1 == i3 and i2 == i1 + 1 and e1 == e2 == e3 == 1:
-                swapped = (letters[:p] + ((i2, 1), (i1, 1), (i2, 1))
-                           + letters[p + 3:])
-                rewrites += 1
-                if engine.kauffman_polynomial(BraidWord(word.strands, swapped)) != base:
-                    ok = False
+        rewrites, ok = _moves_keep_value(engine, text, ("relation",))
         report(f"braid-relation word={text!r}", ok and rewrites > 0)
 
 

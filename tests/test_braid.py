@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bwmlink.braid import (BraidParseError, BraidWord, closure_diagram,
                            closure_permutation, component_count, conjugate,
-                           exponent_sum, free_reduce, parse_braid, stabilize)
+                           exponent_sum, free_reduce, isotopy_moves,
+                           parse_braid, stabilize)
 
 
 @st.composite
@@ -158,6 +161,32 @@ class TestWordOps:
     @settings(max_examples=60)
     def test_free_reduce_preserves_exponent_sum(self, w):
         assert exponent_sum(free_reduce(w)) == exponent_sum(w)
+
+
+class TestIsotopyMoves:
+    def test_move_counts(self):
+        # 2 generators x 2 signs, 2 stabilizations, and the factors 1 2 1 at
+        # positions 0 and 2 (2 1 2 at 1 and 3 is not g_i g_(i+1) g_i)
+        word = parse_braid("B3: 1 2 1 2 1 2")
+        kinds = Counter(kind for kind, _ in isotopy_moves(word))
+        assert kinds == {"conjugate": 4, "stabilize": 2, "relation": 2}
+
+    def test_moves(self):
+        moves = list(isotopy_moves(parse_braid("B3: 1 2 1 -2")))
+        assert [(kind, w.word_text()) for kind, w in moves] == [
+            ("conjugate", "B3: 1 1 2 1 -2 -1"),
+            ("conjugate", "B3: -1 1 2 1 -2 1"),
+            ("conjugate", "B3: 2 1 2 1 -2 -2"),
+            ("conjugate", "B3: -2 1 2 1 -2 2"),
+            ("stabilize", "B4: 1 2 1 -2 3"),
+            ("stabilize", "B4: 1 2 1 -2 -3"),
+            ("relation", "B3: 2 1 2 -2"),
+        ]
+
+    def test_negative_factor_not_rewritten(self):
+        word = parse_braid("B3: -1 -2 -1")
+        kinds = Counter(kind for kind, _ in isotopy_moves(word))
+        assert kinds["relation"] == 0 and kinds["conjugate"] == 4
 
 
 class TestClosureDiagram:
