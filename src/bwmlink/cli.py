@@ -183,12 +183,8 @@ def cmd_bratteli(args) -> int:
 # verification suites
 
 
-def _cap_m_range(args) -> None:
-    _cap("|m|", max(abs(m) for m in args.m_range), M_CAP)
-
-
 def _verify_oracle(args, report):
-    _cap_m_range(args)
+    _cap("|m|", max(map(abs, args.m_range)), M_CAP)
     engine = SkeinEngine()
     lo, hi = args.m_range
     for m in range(lo, hi + 1):
@@ -204,7 +200,7 @@ def _verify_parity(args, report):
 
 
 def _verify_symmetry(args, report):
-    _cap_m_range(args)
+    _cap("|m|", max(map(abs, args.m_range)), M_CAP)
     lo, hi = args.m_range
     for m in range(lo, hi + 1):
         report(f"symmetry m={m}", symmetry_check(m))
