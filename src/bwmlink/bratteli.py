@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly1, LaurentPoly2,
-                      Quotient, Specialization, s_pow, specialize)
+                      Quotient, Specialization, s_pow, specialize,
+                      sums_of_products_equal)
 
 Shape = tuple[int, ...]
 
@@ -242,11 +243,13 @@ def generic_bratteli(depth: int) -> BratteliGraph:
 
 
 def truncation_rule(shape: Shape, n: int) -> bool:
-    """Survival criterion: first two column lengths sum to at most 2n + 1."""
-    conj = conjugate(shape)
-    first = conj[0] if conj else 0
-    second = conj[1] if len(conj) > 1 else 0
-    return first + second <= 2 * n + 1
+    """Survival criterion: first two column lengths sum to at most 2n + 1.
+
+    The first column has one box per row, the second one per row of
+    length at least 2.
+    """
+    second = sum(1 for row in shape if row >= 2)
+    return len(shape) + second <= 2 * n + 1
 
 
 def specialized_weight_nonzero(shape: Shape, spec: Specialization) -> bool:
@@ -322,8 +325,10 @@ def sum_rule_check(f: int) -> bool:
     Shapes with equal hook multisets share the factor H(C - hooks) (a
     shape and its conjugate always do), so the left side is summed as
     sum over groups of H(C - hooks) * (sum of count * num in the group):
-    the same polynomial by distributivity, with one large product per
-    group instead of one per shape.
+    the same polynomial by distributivity, with one product per group
+    instead of one per shape.  Those products and X_NUM^f * H(C - {1: f})
+    are not expanded: ``sums_of_products_equal`` compares the two sums of
+    products exactly by Kronecker substitution.
     """
     graph = generic_bratteli(f)
     groups: dict[frozenset, LaurentPoly2] = {}
@@ -333,10 +338,10 @@ def sum_rule_check(f: int) -> bool:
         key = frozenset(hooks.items())
         groups[key] = groups.get(key, ZERO2) + num * graph.path_count(shape, f)
         common |= hooks
-    total = ZERO2
-    for key, partial in groups.items():
-        total = total + partial * _hook_product(common - Counter(dict(key)))
-    return total == X_NUM**f * _hook_product(common - Counter({1: f}))
+    lhs = [(partial, _hook_product(common - Counter(dict(key))))
+           for key, partial in groups.items()]
+    rhs = [(X_NUM,) * f + (_hook_product(common - Counter({1: f})),)]
+    return sums_of_products_equal(lhs, rhs)
 
 
 def path_pair_count(f: int) -> int:
@@ -375,18 +380,18 @@ def specialized_weights_equal(shape: Shape, n: int) -> bool:
     Specialization is a ring homomorphism, so the specialized numerator
     and denominator are the products of the specialized box factors and
     of the specialized (s^h - s^-h); the two-variable weight is never
-    built.  The check is then num_osp * den_so - num_so * den_osp == 0,
-    in full: no sign rule is assumed.
+    built.  The check is then num_osp * den_so == num_so * den_osp, in
+    full: no sign rule is assumed.  Both sides stay unexpanded products of
+    specialized factors, compared exactly by ``sums_of_products_equal``.
     """
     osp, so = Specialization.osp(n), Specialization.so(n)
-    num_osp = num_so = den_osp = den_so = LaurentPoly1.const(1)
+    lhs: list[LaurentPoly1] = []  # num_osp * den_so
+    rhs: list[LaurentPoly1] = []  # num_so * den_osp
     for factor, hook in _box_factors(shape):
         gap = s_pow(hook) - s_pow(-hook)
-        num_osp = num_osp * specialize(factor, osp)
-        num_so = num_so * specialize(factor, so)
-        den_osp = den_osp * specialize(gap, osp)
-        den_so = den_so * specialize(gap, so)
-    return (num_osp * den_so - num_so * den_osp).is_zero
+        lhs += specialize(factor, osp), specialize(gap, so)
+        rhs += specialize(factor, so), specialize(gap, osp)
+    return sums_of_products_equal([tuple(lhs)], [tuple(rhs)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from .laurent import (LaurentPoly1, LocalizedPoly, Quotient,
                       Specialization, specialize)
 from .skein import SkeinEngine
 
-DEPTH_CAP = 8  # cap on Bratteli depths and on the verify --max-f range
+DEPTH_CAP = 8  # cap on Bratteli depths and verify --max-f, --max-size, --max-n
 M_CAP = 100  # cap on |m| for torus --m and the verify --m and --max-m ranges
+SIGNS_CAP = 1000  # cap on the verify lemma2 --random-signs count
 
 MARKOV_CORPUS = [
     "B1:", "B2:", "B2: 1", "B2: 1 1", "B2: 1 1 1", "B2: -1 -1",
@@ -221,6 +222,9 @@ def _verify_omega(args, report):
 
 
 def _verify_lemma2(args, report):
+    _cap("max-size", args.max_size, DEPTH_CAP)
+    _cap("max-n", args.max_n, DEPTH_CAP)
+    _cap("random-signs", args.random_signs, SIGNS_CAP)
     for size in range(0, args.max_size + 1):
         for shape in yb.young_level(size):
             for n in range(1, args.max_n + 1):

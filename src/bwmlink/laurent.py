@@ -20,6 +20,12 @@ exact division and its key helpers.  ``LaurentPoly2`` keys are
 (r_exp, s_exp) pairs; ``LaurentPoly1`` keys are plain ints, because 1-tuple
 keys made its product kernel 1.3-1.6x slower.
 
+``sums_of_products_equal`` decides exactly whether two sums of products
+of polynomials are equal without expanding them: it substitutes a power
+of two above every coefficient the difference can have, multiplies Python
+ints and compares.  The Bratteli sum rule and the Lemma-2 weight check
+use it.
+
 All values are immutable; every operation returns a fresh value.
 """
 
@@ -327,6 +333,75 @@ class LaurentPoly1(_Laurent):
         return LaurentPoly1._make(quot)
 
     to_pairs = _Laurent.to_lists
+
+
+# ---------------------------------------------------------------------------
+# exact identities between sums of products
+
+
+def sums_of_products_equal(lhs, rhs) -> bool:
+    """Whether sum(prod(t) for t in lhs) == sum(prod(t) for t in rhs),
+    decided exactly by Kronecker substitution, without expanding a product.
+
+    ``lhs`` and ``rhs`` are sequences of tuples of polynomials, all of one
+    class (``LaurentPoly1`` or ``LaurentPoly2``).  A tuple with a zero
+    factor is a zero product; an empty tuple is the product 1.
+
+    Method.  Let M be the sum, over the products of both sides, of the
+    product of their factors' 1-norms; M bounds every coefficient of the
+    difference D = lhs - rhs.  Take B = 2^K > M.  In two variables, r
+    becomes s^W, with W above the s-span of the difference (the highest
+    s-degree of any product minus the lowest), so distinct monomials
+    r^a s^b of D go to distinct powers s^(W a + b).  Then s (or q) becomes
+    B.  Each factor is shifted to nonnegative exponents and evaluated as a
+    Python int, the ints of a product are multiplied, and each product is
+    shifted back by the sum of its factors' shifts, less the smallest such
+    sum, before the two sides' totals are compared.
+
+    Why this is exact.  The substitution is a ring homomorphism, so the
+    totals differ by D(B) times a power of B, which is 0 when D = 0.  If
+    D is nonzero, let c B^e be its lowest nonzero term after substitution:
+    0 < |c| <= M < B, and D(B) = B^e (c + B t) for an integer t.  Then
+    c + B t = 0 would make B divide c, so D(B) is not 0.
+    """
+    sides = (lhs, rhs)
+    kinds = {type(f) for side in sides for t in side for f in t}
+    if len(kinds) > 1:
+        raise TypeError("factors of different classes")
+    products = [(sign, t) for sign, side in zip((1, -1), sides)
+                for t in side if all(f._terms for f in t)]
+    if not products:
+        return True
+    bound = 0
+    for _, t in products:
+        norm = 1
+        for f in t:
+            norm *= sum(map(abs, f._terms.values()))
+        bound += norm
+    flat = None
+    if kinds == {LaurentPoly2}:
+        low = min(sum(min(b for _, b in f._terms) for f in t)
+                  for _, t in products)
+        high = max(sum(max(b for _, b in f._terms) for f in t)
+                   for _, t in products)
+        width = high - low + 1
+
+        def flat(key):
+            return width * key[0] + key[1]
+
+    bits = bound.bit_length()
+    shifted = []  # (value at B, exponent of B to multiply it by)
+    for sign, t in products:
+        value, shift = sign, 0
+        for f in t:
+            terms = ({flat(k): c for k, c in f._terms.items()} if flat
+                     else f._terms)
+            lo = min(terms)
+            value *= sum(c << bits * (e - lo) for e, c in terms.items())
+            shift += lo
+        shifted.append((value, shift))
+    base = min(shift for _, shift in shifted)
+    return sum(value << bits * (shift - base) for value, shift in shifted) == 0
 
 
 # ---------------------------------------------------------------------------

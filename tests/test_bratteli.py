@@ -234,12 +234,14 @@ class TestNeighbourEdges:
 
 class TestWeightsEqualByFactors:
     def test_matches_cross_multiplied_weight(self):
-        for size in range(0, 10):
-            for shape in yb.young_level(size):
-                for n in (1, 2, 3):
-                    assert (yb.specialized_weights_equal(shape, n)
-                            == cross_multiplied_weights_equal(shape, n)), (
-                                shape, n)
+        # n = 4..6 widens the q-spans and the bit widths of the check
+        for max_size, ns in ((9, (1, 2, 3)), (6, (4, 5, 6))):
+            for size in range(0, max_size + 1):
+                for shape in yb.young_level(size):
+                    for n in ns:
+                        assert (yb.specialized_weights_equal(shape, n)
+                                == cross_multiplied_weights_equal(shape, n)), (
+                                    shape, n)
 
     def test_factor_times_r_fails(self, monkeypatch):
         # r goes to -q^(2n) under osp and to q^(2n) under so, so one extra
@@ -309,6 +311,14 @@ class TestTruncation:
         assert not yb.truncation_rule((1, 1, 1, 1), 1)
         assert yb.truncation_rule((4,), 1)
         assert yb.truncation_rule((), 3)
+
+    def test_matches_conjugate_columns(self):
+        for size in range(0, 11):
+            for shape in yb.young_level(size):
+                conj = yb.conjugate(shape) + (0, 0)
+                for n in range(1, 5):
+                    assert yb.truncation_rule(shape, n) == (
+                        conj[0] + conj[1] <= 2 * n + 1), (shape, n)
 
     def test_matches_inductive_membership(self):
         for size in range(0, 7):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bwmlink.cli import DEPTH_CAP, M_CAP, main
+from bwmlink.bratteli import young_level
+from bwmlink.cli import DEPTH_CAP, M_CAP, SIGNS_CAP, main
 
 
 def run(capsys, *argv):
@@ -219,6 +220,9 @@ class TestVerify:
         ["verify", "symmetry", "--m", f"-{M_CAP + 1}..0"],
         ["torus", "--m", str(M_CAP + 1)],
         ["torus", "--m", str(-M_CAP - 1)],
+        ["verify", "lemma2", "--max-size", str(DEPTH_CAP + 1)],
+        ["verify", "lemma2", "--max-n", str(DEPTH_CAP + 1)],
+        ["verify", "lemma2", "--random-signs", str(SIGNS_CAP + 1)],
     ], ids=" ".join)
     def test_over_cap_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -230,6 +234,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "parity", "--max-m", str(M_CAP))
         assert code == 0
         assert out.count("PASS") == M_CAP
+
+    def test_lemma2_at_caps(self, capsys):
+        code, out, _ = run(capsys, "verify", "lemma2",
+                           "--max-size", str(DEPTH_CAP),
+                           "--max-n", str(DEPTH_CAP),
+                           "--random-signs", str(SIGNS_CAP))
+        assert code == 0
+        shapes = sum(len(young_level(size)) for size in range(DEPTH_CAP + 1))
+        assert out.count("PASS lemma2 ") == shapes * DEPTH_CAP
+        assert out.count("PASS sign-identity ") == SIGNS_CAP
+        assert out.endswith(" failures: 0\n")
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         import bwmlink.cli as cli

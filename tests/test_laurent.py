@@ -1,12 +1,15 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bwmlink
+from bwmlink import laurent
 from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2,
                              LocalizedPoly, QFraction, Quotient, RationalFn2,
                              Specialization, _div_delta, flip_vars, loop_value,
                              one_var_equal, quantum_dimension, r_pow, s_pow,
-                             specialize)
+                             specialize, sums_of_products_equal)
 
 R = r_pow(1)
 S = s_pow(1)
@@ -372,3 +375,83 @@ class TestQuantumDimension:
         for n in (1, 2, 3, 4):
             lhs = (LaurentPoly1({1: 1, -1: -1})) * (quantum_dimension(n) - 1)
             assert lhs == LaurentPoly1({2 * n: -1, -2 * n: 1})
+
+
+def expand(side, one):
+    """Oracle: the sum of products, multiplied and added out."""
+    total = one * 0
+    for factors in side:
+        product = one
+        for f in factors:
+            product = product * f
+        total = total + product
+    return total
+
+
+# small coefficients, and ones far beyond a machine word
+coeffs = st.one_of(st.integers(-3, 3), st.integers(2**40, 2**44),
+                   st.integers(-2**44, -2**40))
+exps = st.integers(-3, 3)
+one_var = st.dictionaries(exps, coeffs, max_size=4).map(LaurentPoly1)
+two_var = st.dictionaries(st.tuples(exps, exps), coeffs,
+                          max_size=4).map(LaurentPoly2)
+
+
+@st.composite
+def sides(draw):
+    """Two sums of products of one class; empty dictionaries give zero
+    factors, empty lists empty products.  Half the time the right side is
+    rewritten to equal the left, so cancellation is tested too."""
+    polys, one = draw(st.sampled_from(
+        [(one_var, LaurentPoly1.const(1)), (two_var, LaurentPoly2.const(1))]))
+    side = st.lists(st.lists(polys, max_size=3).map(tuple), max_size=3)
+    lhs, rhs = draw(side), draw(side)
+    if draw(st.booleans()):
+        rhs = rhs + [(expand(lhs, one) - expand(rhs, one),)]
+    return lhs, rhs, one
+
+
+def byte_base_copy():
+    """A copy of the helper with B = 2^8 whatever the coefficient bound."""
+    source = inspect.getsource(laurent.sums_of_products_equal)
+    mutated = source.replace("bits = bound.bit_length()", "bits = 8")
+    assert mutated != source
+    namespace = dict(vars(laurent))
+    exec(mutated, namespace)
+    return namespace["sums_of_products_equal"]
+
+
+class TestSumsOfProductsEqual:
+    @given(sides())
+    @settings(max_examples=200)
+    def test_matches_expansion(self, case):
+        lhs, rhs, one = case
+        expected = expand(lhs, one) == expand(rhs, one)
+        assert sums_of_products_equal(lhs, rhs) is expected
+        assert sums_of_products_equal(rhs, lhs) is expected
+
+    def test_edge_cases(self):
+        q = LaurentPoly1.term(1, 1)
+        zero = LaurentPoly1()
+        big = 2**40 + 1
+        assert sums_of_products_equal([], [])
+        assert sums_of_products_equal([(), ()], [(LaurentPoly1.const(2),)])
+        assert not sums_of_products_equal([()], [])
+        assert sums_of_products_equal([(q, zero)], [])
+        assert sums_of_products_equal([(zero,)], [(q - q, q)])
+        assert sums_of_products_equal([(q * big, q * big)], [(q**2 * big**2,)])
+        assert not sums_of_products_equal([(q * big, q * big)],
+                                          [(q**2 * big**2 + 1,)])
+        assert sums_of_products_equal([(R, S), (R, -S)], [])
+        with pytest.raises(TypeError):
+            sums_of_products_equal([(q,)], [(R,)])
+
+    def test_base_below_bound_aliases(self):
+        # (q + 255)(q + 1) = q^2 + 256 q + 255 and 2 q^2 + 255 differ by
+        # q (256 - q), which vanishes at q = 2^8: a coefficient of 256 carries
+        # into the next byte
+        q = LaurentPoly1.term(1, 1)
+        lhs, rhs = [(q + 255, q + 1)], [(q**2 * 2 + 255,)]
+        assert expand(lhs, 1) != expand(rhs, 1)
+        assert byte_base_copy()(lhs, rhs)
+        assert not sums_of_products_equal(lhs, rhs)
