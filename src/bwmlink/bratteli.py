@@ -36,11 +36,6 @@ Shape = tuple[int, ...]
 # partitions
 
 
-def is_shape(rows) -> bool:
-    return all(isinstance(r, int) and r > 0 for r in rows) and all(
-        rows[i] >= rows[i + 1] for i in range(len(rows) - 1))
-
-
 def shape_size(shape: Shape) -> int:
     return sum(shape)
 
@@ -73,9 +68,7 @@ def young_level(f: int) -> tuple[Shape, ...]:
         for part in range(min(remaining, maximum), 0, -1):
             grow(remaining - part, part, prefix + (part,))
 
-    grow(f, f if f else 1, ())
-    if f == 0:
-        out = {()}
+    grow(f, f, ())
     return tuple(sorted(out))
 
 

@@ -12,8 +12,10 @@ and an ``over`` bit naming the over-diagonal:
 
 The slot order fixes the two smoothings once and for all: the parallel
 smoothing joins slots (0,3) and (1,2), the cap smoothing joins (0,1) and
-(2,3).  Geometric crossing signs and curl signs are derived from the same
-slot order, so every convention lives in this one module.
+(2,3).  Kink and poke removal delete crossings with the straight joins
+(0,2) and (1,3).  All three go through one contraction.  Geometric
+crossing signs and curl signs are derived from the same slot order, so
+every convention lives in this one module.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class Crossing(NamedTuple):
 
 PAR_PAIRS = ((0, 3), (1, 2))
 CAP_PAIRS = ((0, 1), (2, 3))
+STRAIGHT_PAIRS = ((0, 2), (1, 3))
 
 
 class Traversal(NamedTuple):
@@ -147,105 +150,72 @@ class PlanarDiagram:
         crossings[cid] = Crossing(c.slots, 1 - c.over)
         return PlanarDiagram(crossings, self.arcs, self.free_loops)
 
-    def _contract(self, join: dict[int, int], removed: set[int]) -> PlanarDiagram:
-        """Delete the crossings in ``removed``, wiring their half-edges
-        through the matching ``join``; arcs are spliced along the resulting
-        chains and closed chains become free loops."""
-        inner = set(join)
-        new_arcs = {a: b for a, b in self.arcs.items()
-                    if a not in inner and b not in inner}
+    def _contract(self, cids: Iterable[int], pairs) -> PlanarDiagram:
+        """Delete the crossings ``cids``, joining the slots of each as
+        ``pairs`` says; the only move that removes crossings.
+
+        Each half-edge left behind is wired to the far end of its chain of
+        join and arc hops, and each chain that closes up inside the deleted
+        crossings becomes one free loop.
+        """
+        removed = set(cids)
+        join: dict[int, int] = {}
+        for cid in removed:
+            slots = self.crossings[cid].slots
+            for i, j in pairs:
+                join[slots[i]] = slots[j]
+                join[slots[j]] = slots[i]
+        arcs = self.arcs
+        new_arcs: dict[int, int] = {}
+        on_chain: set[int] = set()
+        for a, b in arcs.items():
+            if a in join or a in new_arcs:
+                continue
+            while b in join:
+                on_chain.update((b, join[b]))
+                b = arcs[join[b]]
+            new_arcs[a] = b
+            new_arcs[b] = a
         loops = 0
-        done: set[int] = set()
-        for h in sorted(inner):
-            if h in done:
-                continue
-
-            # walk from h alternating join/arc hops until leaving the cluster
-            def walk(start: int):
-                cur, hop_join = start, True
-                while True:
-                    cur = join[cur] if hop_join else self.arcs[cur]
-                    if not hop_join and cur not in inner:
-                        return cur  # outside endpoint
-                    done.add(cur)
-                    if not hop_join and cur == start:
-                        return None  # closed up inside the cluster
-                    hop_join = not hop_join
-
-            done.add(h)
-            end1 = walk(h)
-            if end1 is None:
+        for h in join:
+            if h not in on_chain:
                 loops += 1
-                continue
-            # walk the other way: first hop along h's arc
-            cur = self.arcs[h]
-            while cur in inner:
-                done.add(cur)
-                cur = join[cur]
-                done.add(cur)
-                cur = self.arcs[cur]
-            end2 = cur
-            new_arcs[end1] = end2
-            new_arcs[end2] = end1
+                while h not in on_chain:  # mark the closed chain through h
+                    on_chain.update((h, join[h]))
+                    h = arcs[join[h]]
         crossings = {cid: c for cid, c in self.crossings.items()
                      if cid not in removed}
         return PlanarDiagram(crossings, new_arcs, self.free_loops + loops)
-
-    def _smoothed(self, cid: int, pairs) -> PlanarDiagram:
-        """Delete a crossing, joining its slots per ``pairs``."""
-        c = self.crossings[cid]
-        join = {}
-        for i, j in pairs:
-            join[c.slots[i]] = c.slots[j]
-            join[c.slots[j]] = c.slots[i]
-        return self._contract(join, {cid})
 
     def resolve(self, cid: int) -> tuple[PlanarDiagram, PlanarDiagram, PlanarDiagram]:
         """Return (switched, parallel smoothing, cap smoothing) at a crossing."""
         if cid not in self.crossings:
             raise KeyError(f"crossing {cid} not in diagram")
         return (self.with_switched(cid),
-                self._smoothed(cid, PAR_PAIRS),
-                self._smoothed(cid, CAP_PAIRS))
+                self._contract((cid,), PAR_PAIRS),
+                self._contract((cid,), CAP_PAIRS))
 
     def remove_curls(self) -> tuple[PlanarDiagram, int]:
         """Delete every kink whose loop arc joins two adjacent slots of one
         crossing; return the new diagram and the signed kink count.
 
         A kink with loop arc on slots (a, a+1) has sign +1 exactly when slot
-        a lies on the over-diagonal.
+        a lies on the over-diagonal.  Each sweep straightens every current
+        kink at once (kink moves on distinct crossings commute); sweeps
+        repeat while removals expose new kinks.
         """
-        diagram = self
-        total = 0
+        diagram, total = self, 0
         while True:
-            found = None
-            for cid in sorted(diagram.crossings):
-                slots = diagram.crossings[cid].slots
+            kinks = []
+            for cid, c in diagram.crossings.items():
                 for a in range(4):
-                    if diagram.arcs.get(slots[a]) == slots[(a + 1) % 4]:
-                        found = (cid, a)
+                    if diagram.arcs[c.slots[a]] == c.slots[(a + 1) % 4]:
+                        kinks.append(cid)
+                        total += 1 if a % 2 == c.over else -1
                         break
-                if found:
-                    break
-            if not found:
+            if not kinks:
                 return diagram, total
-            cid, a = found
-            c = diagram.crossings[cid]
-            total += 1 if a % 2 == c.over else -1
-            b1, b2 = c.slots[(a + 2) % 4], c.slots[(a + 3) % 4]
-            p1, p2 = diagram.arcs[b1], diagram.arcs[b2]
-            inner = set(c.slots)
-            new_arcs = {x: y for x, y in diagram.arcs.items()
-                        if x not in inner and y not in inner}
-            loops = diagram.free_loops
-            if p1 == b2:
-                loops += 1
-            else:
-                new_arcs[p1] = p2
-                new_arcs[p2] = p1
-            crossings = dict(diagram.crossings)
-            del crossings[cid]
-            diagram = PlanarDiagram(crossings, new_arcs, loops)
+            diagram = diagram._contract(kinks, STRAIGHT_PAIRS)
 
     def remove_poke(self) -> PlanarDiagram | None:
         """Undo one poke (two distinct crossings joined by two arcs on
@@ -285,12 +255,7 @@ class PlanarDiagram:
                     over_b = b_slot % 2 == self.crossings[cb].over
                     if over_a != over_b:
                         continue
-                    join = {}
-                    for cid in (ca, cb):
-                        slots = self.crossings[cid].slots
-                        for k in range(4):
-                            join[slots[k]] = slots[(k + 2) % 4]
-                    return self._contract(join, {ca, cb})
+                    return self._contract((ca, cb), STRAIGHT_PAIRS)
         return None
 
     # -- decomposition ---------------------------------------------------------
@@ -373,8 +338,3 @@ class PlanarDiagram:
             key = " ".join(map(str, self.canonical_key()))
             lines.append(f"key {key}")
         return "\n".join(lines)
-
-    def same_shape(self, other: PlanarDiagram) -> bool:
-        """Structural equality of stored data (ids included)."""
-        return (self.crossings == other.crossings and self.arcs == other.arcs
-                and self.free_loops == other.free_loops)

@@ -23,6 +23,46 @@ def relabeled(d: PlanarDiagram, seed: int) -> PlanarDiagram:
     return PlanarDiagram(crossings, arcs, d.free_loops)
 
 
+def reference_remove_curls(d: PlanarDiagram) -> tuple[PlanarDiagram, int]:
+    """One kink at a time, in sorted crossing order, with its own arc
+    splice: the single contraction's remove_curls must agree with it."""
+    diagram = d
+    total = 0
+    while True:
+        found = None
+        for cid in sorted(diagram.crossings):
+            slots = diagram.crossings[cid].slots
+            for a in range(4):
+                if diagram.arcs[slots[a]] == slots[(a + 1) % 4]:
+                    found = (cid, a)
+                    break
+            if found:
+                break
+        if not found:
+            return diagram, total
+        cid, a = found
+        c = diagram.crossings[cid]
+        total += 1 if a % 2 == c.over else -1
+        b1, b2 = c.slots[(a + 2) % 4], c.slots[(a + 3) % 4]
+        p1, p2 = diagram.arcs[b1], diagram.arcs[b2]
+        inner = set(c.slots)
+        new_arcs = {x: y for x, y in diagram.arcs.items()
+                    if x not in inner and y not in inner}
+        loops = diagram.free_loops
+        if p1 == b2:
+            loops += 1
+        else:
+            new_arcs[p1] = p2
+            new_arcs[p2] = p1
+        crossings = dict(diagram.crossings)
+        del crossings[cid]
+        diagram = PlanarDiagram(crossings, new_arcs, loops)
+
+
+def part_keys(d: PlanarDiagram) -> list[tuple[int, ...]]:
+    return sorted(part.canonical_key() for part in d.connected_parts())
+
+
 @st.composite
 def small_words(draw, max_strands=4, max_len=6):
     f = draw(st.integers(2, max_strands))
@@ -37,7 +77,7 @@ class TestResolve:
     def test_single_crossing_closure(self):
         d = closure_diagram(parse_braid("B2: 1"))
         switched, par, cap = d.resolve(0)
-        assert switched.same_shape(closure_diagram(parse_braid("B2: -1")))
+        assert switched == closure_diagram(parse_braid("B2: -1"))
         assert par.crossing_count == 0 and par.free_loops == 2
         assert cap.crossing_count == 0 and cap.free_loops == 1
 
@@ -83,7 +123,7 @@ class TestResolve:
                     if c1 not in ba.crossings:
                         continue
                     ba = ba.resolve(c1)[way1]
-                    assert ab.same_shape(ba)
+                    assert ab == ba
 
 
 class TestRemoveCurls:
@@ -94,7 +134,11 @@ class TestRemoveCurls:
         assert reduced.crossing_count == 0 and reduced.free_loops == 1
 
     def test_negative_kink(self):
+        # both arcs of the one-crossing closure are kink arcs: one loop
         d = closure_diagram(parse_braid("B2: -1"))
+        c = d.crossings[0]
+        assert d.arcs[c.slots[1]] == c.slots[2]
+        assert d.arcs[c.slots[3]] == c.slots[0]
         reduced, kinks = d.remove_curls()
         assert kinks == -1
         assert reduced.crossing_count == 0 and reduced.free_loops == 1
@@ -102,7 +146,7 @@ class TestRemoveCurls:
     def test_no_crossings_untouched(self):
         d = closure_diagram(parse_braid("B3:"))
         reduced, kinks = d.remove_curls()
-        assert kinks == 0 and reduced.same_shape(d)
+        assert kinks == 0 and reduced == d
 
     def test_kink_then_poke(self):
         # the first letter closes into a kink; the cancelling pair that
@@ -124,6 +168,48 @@ class TestRemoveCurls:
         d = closure_diagram(parse_braid("B2: 1 1"))
         reduced, kinks = d.remove_curls()
         assert kinks == 0 and reduced.crossing_count == 2
+
+
+class TestSingleContraction:
+    """Smoothings, kinks and pokes all delete crossings through one splice."""
+
+    @given(small_words(max_len=8))
+    @settings(max_examples=80, deadline=None)
+    def test_moves_match_reference(self, w):
+        d = closure_diagram(w)
+        diagrams = [d]
+        for cid in sorted(d.crossings):
+            children = d.resolve(cid)
+            for child in children:
+                child.validate()
+            diagrams.extend(children)
+        for diagram in diagrams:
+            reduced, kinks = diagram.remove_curls()
+            reduced.validate()
+            expected, expected_kinks = reference_remove_curls(diagram)
+            assert kinks == expected_kinks
+            assert reduced.free_loops == expected.free_loops
+            assert part_keys(reduced) == part_keys(expected)
+            assert reduced == expected
+            poked = diagram.remove_poke()
+            if poked is not None:
+                poked.validate()
+                assert poked.crossing_count == diagram.crossing_count - 2
+
+    def test_independent_kinks_in_one_sweep(self, monkeypatch):
+        d = closure_diagram(parse_braid("B4: 1 3"))
+        calls = []
+        contract = PlanarDiagram._contract
+
+        def counted(self, cids, pairs):
+            calls.append(tuple(cids))
+            return contract(self, cids, pairs)
+
+        monkeypatch.setattr(PlanarDiagram, "_contract", counted)
+        reduced, kinks = d.remove_curls()
+        assert calls == [(0, 1)]
+        assert kinks == 2
+        assert reduced.crossing_count == 0 and reduced.free_loops == 2
 
 
 class TestTraversal:

@@ -228,6 +228,33 @@ class TestClassicalIdentities:
                     == eng.regular_isotopy_poly(d))
 
 
+class TestCyclicReduction:
+    @given(small_words(max_len=4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_value_of_unreduced_word(self, w, data):
+        # cancelling pairs inserted, then conjugation by up to two letters
+        letters = list(w.letters)
+        for _ in range(data.draw(st.integers(1, 2))):
+            i = data.draw(st.integers(1, w.strands - 1))
+            e = data.draw(st.sampled_from((1, -1)))
+            at = data.draw(st.integers(0, len(letters)))
+            letters[at:at] = [(i, e), (i, -e)]
+        word = BraidWord(w.strands, tuple(letters))
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(1, w.strands - 1))
+            e = data.draw(st.sampled_from((1, -1)))
+            word = conjugate(word, BraidWord(w.strands, ((i, e),)))
+        e_sum = sum(e for _, e in word.letters)
+        direct = SkeinEngine().regular_isotopy_poly(closure_diagram(word))
+        assert SkeinEngine().kauffman_polynomial(word) == r_pow(-e_sum) * direct
+
+    def test_long_cancelling_word(self):
+        eng = SkeinEngine()
+        word = parse_braid("B2: " + "1 -1 " * 600)
+        assert eng.kauffman_polynomial(word) == X
+        assert eng.cache_size == 0
+
+
 class TestPokeReduction:
     def test_cancelling_pair_reduces(self):
         d = closure_diagram(parse_braid("B2: 1 -1"))
