@@ -4,8 +4,8 @@ structure, trace weights and the one-variable specializations."""
 
 from .braid import (BraidParseError, BraidWord, closure_diagram,
                     closure_permutation, component_count, conjugate,
-                    cyclic_reduce, exponent_sum, free_reduce, isotopy_moves,
-                    parse_braid, stabilize)
+                    exponent_sum, free_reduce, isotopy_moves, parse_braid,
+                    stabilize)
 from .bratteli import (BratteliGraph, bmw_level, bratteli_dot, bratteli_json,
                        conjugate as conjugate_shape, d_stat, generic_bratteli,
                        hook_length, matrix_unit_trace, path_pair_count,
@@ -32,9 +32,8 @@ __all__ = [
     "PlanarDiagram", "QFraction", "Quotient", "RationalFn2", "SkeinEngine",
     "Specialization", "X_NUM", "bmw_level", "bratteli_dot", "bratteli_json",
     "closure_diagram", "closure_permutation", "component_count", "conjugate",
-    "conjugate_shape", "cyclic_reduce", "d_stat", "exponent_sum", "flip_vars",
-    "free_reduce", "enumerate_paths", "generator_power",
-    "generator_power_trace",
+    "conjugate_shape", "d_stat", "exponent_sum", "flip_vars", "free_reduce",
+    "enumerate_paths", "generator_power", "generator_power_trace",
     "generic_bratteli", "hook_length", "isotopy_moves", "kauffman_polynomial",
     "loop_value", "matrix_unit_trace",
     "one_var_equal", "osp_invariant", "parity_check", "parse_braid",

@@ -153,19 +153,6 @@ def free_reduce(b: BraidWord) -> BraidWord:
     return BraidWord(b.strands, tuple(stack))
 
 
-def cyclic_reduce(b: BraidWord) -> BraidWord:
-    """Free reduction, then cancel inverse first and last letters until
-    none remain.  Both are conjugations and Reidemeister II moves on the
-    closure, so its regular isotopy class and the exponent sum stay."""
-    letters = free_reduce(b).letters
-    lo, hi = 0, len(letters)
-    while (hi - lo > 1 and letters[lo][0] == letters[hi - 1][0]
-           and letters[lo][1] == -letters[hi - 1][1]):
-        lo += 1
-        hi -= 1
-    return BraidWord(b.strands, letters[lo:hi])
-
-
 def conjugate(b: BraidWord, a: BraidWord) -> BraidWord:
     """The word a b a^-1 on the same strand count."""
     if a.strands != b.strands:

@@ -18,7 +18,7 @@ it takes the value 1 on the unknot.
 
 from __future__ import annotations
 
-from .braid import BraidWord, closure_diagram, cyclic_reduce, exponent_sum
+from .braid import BraidWord, closure_diagram, exponent_sum, free_reduce
 from .diagram import PlanarDiagram
 from .laurent import (DELTA, LaurentPoly1, LocalizedPoly, Quotient,
                       Specialization, loop_value, r_pow, specialize)
@@ -95,9 +95,9 @@ class SkeinEngine:
     def kauffman_polynomial(self, b: BraidWord) -> LocalizedPoly:
         """Normalized two-variable invariant of the braid's closure:
         r^(-exponent sum) times the regular-isotopy value, taken on the
-        cyclically reduced word."""
+        freely reduced word (each cancelled pair is a Reidemeister II move)."""
         return r_pow(-exponent_sum(b)) * self.regular_isotopy_poly(
-            closure_diagram(cyclic_reduce(b)))
+            closure_diagram(free_reduce(b)))
 
 
 _default_engine = SkeinEngine()

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from bwmlink.braid import (BraidParseError, BraidWord, closure_diagram,
                            closure_permutation, component_count, conjugate,
-                           cyclic_reduce, exponent_sum, free_reduce,
-                           isotopy_moves, parse_braid, stabilize)
+                           exponent_sum, free_reduce, isotopy_moves,
+                           parse_braid, stabilize)
 
 
 @st.composite
@@ -141,23 +141,6 @@ class TestWordOps:
         w = parse_braid("B2: 1 1 1")
         a = parse_braid("B2: 1")
         assert free_reduce(conjugate(w, a)) == w
-
-    def test_cyclic_reduce_cases(self):
-        assert cyclic_reduce(parse_braid("B3: 1 2 -2 -1")) == parse_braid("B3:")
-        assert cyclic_reduce(parse_braid("B3: 2 1 1 -2")) == parse_braid("B3: 1 1")
-        assert cyclic_reduce(parse_braid("B3: 1 -2 2 2 -1")) == parse_braid("B3: 2")
-        w = parse_braid("B3: 1 -2")
-        assert cyclic_reduce(w) == w
-
-    @given(braid_words(max_len=10))
-    @settings(max_examples=80)
-    def test_cyclic_reduce_is_reduced(self, w):
-        c = cyclic_reduce(w)
-        inverse = [(i, -e) for i, e in c.letters]
-        assert all(c.letters[k + 1] != inverse[k] for k in range(len(c) - 1))
-        assert len(c) < 2 or c.letters[0] != inverse[-1]
-        assert exponent_sum(c) == exponent_sum(w)
-        assert c.strands == w.strands
 
     def test_stabilize(self):
         assert stabilize(parse_braid("B2: 1"), 1) == parse_braid("B3: 1 2")

@@ -59,10 +59,6 @@ def reference_remove_curls(d: PlanarDiagram) -> tuple[PlanarDiagram, int]:
         diagram = PlanarDiagram(crossings, new_arcs, loops)
 
 
-def part_keys(d: PlanarDiagram) -> list[tuple[int, ...]]:
-    return sorted(part.canonical_key() for part in d.connected_parts())
-
-
 @st.composite
 def small_words(draw, max_strands=4, max_len=6):
     f = draw(st.integers(2, max_strands))
@@ -188,8 +184,6 @@ class TestSingleContraction:
             reduced.validate()
             expected, expected_kinks = reference_remove_curls(diagram)
             assert kinks == expected_kinks
-            assert reduced.free_loops == expected.free_loops
-            assert part_keys(reduced) == part_keys(expected)
             assert reduced == expected
             poked = diagram.remove_poke()
             if poked is not None:
