@@ -28,6 +28,7 @@ WORDS = [
     "B4: 1 2 3 1 2 3", "B4: -1 -2 -3 -1 -2 -3",  # mirror pair
     "B4: 1 -2 3 -2 1",
     "B5: 1 -2 3 -4 1 -2 3 -4",
+    "B3: 1 1 2 2", "B4: 1 1 2 2 3 3", "B5: 1 1 2 2 3 3 4 4",  # 2, 3, 4 components
 ]
 SPECS = [None, "osp:1", "so:2"]
 FORMATS = ["text", "json"]
