@@ -7,8 +7,8 @@ Four value types:
 * ``LaurentPoly1``  -- integer-coefficient Laurent polynomial in q, the
   target of the specializations r -> +-q^(2n), s -> +-q.
 * ``LocalizedPoly`` -- a ``LaurentPoly2`` divided by a power of (s - s^-1),
-  kept in normalized form.  This ring carries the skein engine's values and
-  the loop constant x.
+  kept in normalized form: the skein engine's results and the loop
+  constant x.
 * ``Quotient``      -- num / den of two Laurent polynomials in the same
   variables, never reduced and compared by cross-multiplication.
   ``RationalFn2`` and ``QFraction`` are other names for it.
@@ -443,10 +443,7 @@ class LocalizedPoly:
     divide num.
 
     The constructor normalizes by repeated exact division by (s - s^-1)
-    (``_div_delta``).  Products whose normal form is known without a trial
-    division skip it: a factor (s - s^-1) lowers k, and a monomial or an
-    integer factor keeps k, since (s - s^-1) is primitive and cannot come
-    to divide num through a unit or an integer content.
+    (``_div_delta``).
     """
 
     __slots__ = ("num", "k")
@@ -466,13 +463,6 @@ class LocalizedPoly:
         self.k = k
 
     @staticmethod
-    def _normal(num: LaurentPoly2, k: int) -> LocalizedPoly:
-        """A value from a (num, k) pair already in normal form."""
-        out = LocalizedPoly.__new__(LocalizedPoly)
-        out.num, out.k = num, (k if num._terms else 0)
-        return out
-
-    @staticmethod
     def from_poly(p: LaurentPoly2 | int) -> LocalizedPoly:
         if isinstance(p, int):
             p = LaurentPoly2.const(p)
@@ -481,11 +471,6 @@ class LocalizedPoly:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def _lift(self, k: int) -> LaurentPoly2:
-        if k == self.k:
-            return self.num
-        return self.num * DELTA ** (k - self.k)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, LaurentPoly2)):
@@ -503,29 +488,22 @@ class LocalizedPoly:
         if not isinstance(other, LocalizedPoly):
             return NotImplemented
         k = max(self.k, other.k)
-        return LocalizedPoly(self._lift(k) + other._lift(k), k)
+        return LocalizedPoly(self.num * DELTA ** (k - self.k)
+                             + other.num * DELTA ** (k - other.k), k)
 
     __radd__ = __add__
 
     def __neg__(self) -> LocalizedPoly:
-        return LocalizedPoly._normal(-self.num, self.k)
+        return LocalizedPoly(-self.num, self.k)
 
     def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly2)):
-            other = LocalizedPoly.from_poly(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other: LocalizedPoly | LaurentPoly2 | int) -> LocalizedPoly:
-        if isinstance(other, int):
-            return LocalizedPoly._normal(self.num * other, self.k)
-        if isinstance(other, LaurentPoly2):
-            if len(other._terms) == 1:
-                return LocalizedPoly._normal(self.num * other, self.k)
-            if self.k and other._terms == DELTA._terms:
-                return LocalizedPoly._normal(self.num, self.k - 1)
+        if isinstance(other, (int, LaurentPoly2)):
             return LocalizedPoly(self.num * other, self.k)
         if not isinstance(other, LocalizedPoly):
             return NotImplemented

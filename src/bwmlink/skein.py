@@ -12,6 +12,11 @@ engine resolves the first non-descending crossing of the deterministic
 strand walk, which terminates because smoothing drops a crossing and
 switching strictly extends the descending prefix.
 
+As x = X_NUM / delta, delta = s - s^-1, a diagram with c components (free
+loops included) has value N / delta^(c-1).  The recursion carries (N, c)
+and lifts each smoothing's numerator by delta^0..2, since a smoothing
+changes c by at most one; only ``regular_isotopy_poly`` divides by delta.
+
 The normalized invariant of a braid closure divides out r^(exponent sum);
 it takes the value 1 on the unknot.
 """
@@ -20,15 +25,14 @@ from __future__ import annotations
 
 from .braid import BraidWord, closure_diagram, exponent_sum, free_reduce
 from .diagram import PlanarDiagram
-from .laurent import (DELTA, LaurentPoly1, LocalizedPoly, Quotient,
-                      Specialization, loop_value, r_pow, specialize)
-
-_X = loop_value()
+from .laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
+                      Quotient, Specialization, r_pow, specialize)
 
 
 class SkeinEngine:
-    """Evaluator with a memo table keyed by canonical diagram form and with
-    poke (Reidemeister II) reduction before each resolution.
+    """Evaluator with a memo table from canonical diagram form to the (N, c)
+    pair of the module docstring, and with poke (Reidemeister II) reduction
+    before each resolution.
 
     Values for equal keys are necessarily equal, so sharing the table across
     evaluations (or threads) is harmless.  Both are on by default, as
@@ -40,7 +44,7 @@ class SkeinEngine:
     """
 
     def __init__(self, use_cache: bool = True, use_poke_reduction: bool = True):
-        self._cache: dict[tuple[int, ...], LocalizedPoly] | None = (
+        self._cache: dict[tuple[int, ...], tuple[LaurentPoly2, int]] | None = (
             {} if use_cache else None)
         self._poke = use_poke_reduction
 
@@ -50,18 +54,25 @@ class SkeinEngine:
 
     def regular_isotopy_poly(self, diagram: PlanarDiagram) -> LocalizedPoly:
         """The unnormalized diagram value described in the module docstring."""
+        num, c = self._value(diagram)
+        return LocalizedPoly(num, c - 1)
+
+    def _value(self, diagram: PlanarDiagram) -> tuple[LaurentPoly2, int]:
+        """The diagram's (N, c) pair: value = N / delta^(c-1)."""
         parts = diagram.connected_parts()
         split = diagram.free_loops + len(parts) - 1
         if split < 0:
             raise ValueError("the empty diagram has no value")
-        acc = _X**split
+        num = X_NUM**split
+        c = diagram.free_loops
         for i, part in enumerate(parts):
-            value = self._connected(part)
-            # x^0 = 1: the first part's value is taken as it is
-            acc = acc * value if split or i else value
-        return acc
+            part_num, part_c = self._connected(part)
+            # X_NUM^0 = 1: the first part's numerator is taken as it is
+            num = num * part_num if split or i else part_num
+            c += part_c
+        return num, c
 
-    def _connected(self, part: PlanarDiagram) -> LocalizedPoly:
+    def _connected(self, part: PlanarDiagram) -> tuple[LaurentPoly2, int]:
         key = None
         if self._cache is not None:
             key = part.canonical_key()
@@ -77,17 +88,20 @@ class SkeinEngine:
                 uncurled, more = poked.remove_curls()
                 kink_sum += more
         if kink_sum or uncurled.crossing_count < part.crossing_count:
-            value = r_pow(kink_sum) * self.regular_isotopy_poly(uncurled)
+            num, c = self._value(uncurled)
+            num = r_pow(kink_sum) * num
         else:
             walk = part.traverse()
+            c = len(walk.components)
             if walk.switch_candidate is None:
-                value = r_pow(walk.writhe) * _X ** (len(walk.components) - 1)
+                num = r_pow(walk.writhe) * X_NUM ** (c - 1)
             else:
                 switched, par, cap = part.resolve(walk.switch_candidate)
                 state = 1 if part.crossings[walk.switch_candidate].over == 1 else -1
-                correction = DELTA * (self.regular_isotopy_poly(par)
-                                      - self.regular_isotopy_poly(cap))
-                value = self.regular_isotopy_poly(switched) + state * correction
+                correction = (_lift(*self._value(par), c)
+                              - _lift(*self._value(cap), c))
+                num = self._value(switched)[0] + state * correction
+        value = (num, c)
         if self._cache is not None:
             self._cache[key] = value
         return value
@@ -98,6 +112,12 @@ class SkeinEngine:
         freely reduced word (each cancelled pair is a Reidemeister II move)."""
         return r_pow(-exponent_sum(b)) * self.regular_isotopy_poly(
             closure_diagram(free_reduce(b)))
+
+
+def _lift(num: LaurentPoly2, c_smoothing: int, c: int) -> LaurentPoly2:
+    """The numerator over delta^(c-1) of delta * num / delta^(c_smoothing-1)."""
+    e = 1 + c - c_smoothing
+    return num * DELTA**e if e else num
 
 
 _default_engine = SkeinEngine()

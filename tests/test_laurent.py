@@ -147,7 +147,7 @@ class TestLocalizedFastPaths:
     @given(polys2(), polys2(), st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=60)
     def test_add(self, p, q, j, k):
-        # covers both paths: equal k adds the numerators unlifted
+        # equal and unequal k alike: both numerators lifted to the larger k
         u, v = LocalizedPoly(p, j), LocalizedPoly(q, k)
         top = max(u.k, v.k)
         w = u + v

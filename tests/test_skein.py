@@ -257,6 +257,64 @@ class TestFreeReduction:
         assert eng.cache_size == 0
 
 
+def reference_value(diagram) -> LocalizedPoly:
+    """The LocalizedPoly-valued recursion the engine's (N, c) pairs replaced,
+    uncached, with poke reduction: the reference for the numerators."""
+    parts = diagram.connected_parts()
+    value = X ** (diagram.free_loops + len(parts) - 1)
+    for part in parts:
+        value = value * _reference_connected(part)
+    return value
+
+
+def _reference_connected(part) -> LocalizedPoly:
+    uncurled, kink_sum = part.remove_curls()
+    while (poked := uncurled.remove_poke()) is not None:
+        uncurled, more = poked.remove_curls()
+        kink_sum += more
+    if kink_sum or uncurled.crossing_count < part.crossing_count:
+        return r_pow(kink_sum) * reference_value(uncurled)
+    walk = part.traverse()
+    if walk.switch_candidate is None:
+        return r_pow(walk.writhe) * X ** (len(walk.components) - 1)
+    switched, par, cap = part.resolve(walk.switch_candidate)
+    state = 1 if part.crossings[walk.switch_candidate].over == 1 else -1
+    correction = DELTA * (reference_value(par) - reference_value(cap))
+    return reference_value(switched) + state * correction
+
+
+class TestNumerators:
+    @given(small_words(max_strands=4, max_len=7))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_localized_reference(self, w):
+        # the closure and every child of resolving each of its crossings
+        d = closure_diagram(w)
+        diagrams = [d] + [child for cid in d.crossings
+                          for child in d.resolve(cid)]
+        for diagram in diagrams:
+            assert (SkeinEngine().regular_isotopy_poly(diagram)
+                    == reference_value(diagram))
+
+    def test_one_division_per_evaluation(self, monkeypatch):
+        built = []
+        init = LocalizedPoly.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LocalizedPoly, "__init__", counting_init)
+        SkeinEngine().kauffman_polynomial(parse_braid("B4: 1 2 3 1 2 3"))
+        assert len(built) <= 2
+
+    def test_cache_holds_numerator_pairs(self):
+        eng = SkeinEngine()
+        eng.kauffman_polynomial(parse_braid("B3: 1 1 2 2"))
+        assert eng.cache_size > 0
+        for num, c in eng._cache.values():
+            assert type(num) is LaurentPoly2 and type(c) is int and c >= 1
+
+
 class TestPokeReduction:
     def test_cancelling_pair_reduces(self):
         d = closure_diagram(parse_braid("B2: 1 -1"))
