@@ -25,6 +25,7 @@ from .skein import SkeinEngine
 DEPTH_CAP = 8  # cap on Bratteli depths and verify --max-f, --max-size, --max-n
 M_CAP = 100  # cap on |m| for torus --m and the verify --m and --max-m ranges
 SIGNS_CAP = 1000  # cap on the verify lemma2 --random-signs count
+N_CAP = 100  # cap on the rank n of --spec osp:<n> and so:<n>
 
 MARKOV_CORPUS = [
     "B1:", "B2:", "B2: 1", "B2: 1 1", "B2: 1 1 1", "B2: -1 -1",
@@ -41,19 +42,23 @@ BRAID_RELATION_CORPUS = [
 ]
 
 
-class _OverCap(Exception):
-    """An option over its cap; ``main`` prints one error line and exits 2."""
+class _UsageError(Exception):
+    """An option over its cap or an unwritable ``--out`` path; ``main``
+    prints one error line and exits 2."""
 
 
 def _cap(option: str, value: int, cap: int) -> None:
     if value > cap:
-        raise _OverCap(f"{option} {value} over cap {cap}")
+        raise _UsageError(f"{option} {value} over cap {cap}")
 
 
 def _parse_spec(text: str) -> Specialization:
     try:
         kind, n_text = text.split(":")
         n = int(n_text)
+        if n > N_CAP:
+            raise argparse.ArgumentTypeError(
+                f"specialization rank {n} over cap {N_CAP}")
         if kind == "osp":
             return Specialization.osp(n)
         if kind == "so":
@@ -88,11 +93,14 @@ def _value_json(value):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write --out: {err}") from err
 
 
 def cmd_invariant(args) -> int:
@@ -350,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _OverCap as err:
+    except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bwmlink.bratteli import young_level
-from bwmlink.cli import DEPTH_CAP, M_CAP, SIGNS_CAP, main
+from bwmlink.cli import DEPTH_CAP, M_CAP, N_CAP, SIGNS_CAP, main
 
 
 def run(capsys, *argv):
@@ -88,12 +88,44 @@ class TestInvariant:
                          "--spec", "sp:1")
         assert code == 2
 
+    def test_spec_at_rank_cap(self, capsys):
+        code, out, _ = run(capsys, "invariant", "--braid", "B4: 1 1 2 2 3 3",
+                           "--spec", f"osp:{N_CAP}")
+        assert code == 0 and f"value[osp:{N_CAP}](q) = " in out
+
+    @pytest.mark.parametrize("argv", [
+        ["invariant", "--braid", "B2:", "--spec", f"osp:{N_CAP + 1}"],
+        ["invariant", "--braid", "B2:", "--spec", "so:1000000000000"],
+        ["bratteli", "--spec", f"osp:{N_CAP + 1}"],
+        ["bratteli", "--spec", "so:1000000000000"],
+    ], ids=" ".join)
+    def test_spec_over_rank_cap_exits_2(self, capsys, argv):
+        # rejected by the parser, before any invariant or graph is computed
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "argument --spec: specialization rank" in err
+        assert f"over cap {N_CAP}" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "value.txt"
         code, out, _ = run(capsys, "invariant", "--braid", "B2: 1",
                            "--out", str(target))
         assert code == 0 and out == ""
         assert "F(r,s) = 1" in target.read_text()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["invariant", "--braid", "B2: 1"],
+        ["verify", "omega", "--max-f", "2"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("missing_parent", [False, True])
+    def test_exits_2(self, capsys, tmp_path, argv, missing_parent):
+        target = tmp_path / "missing" / "x" if missing_parent else tmp_path
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out: ")
+        assert err.count("\n") == 1
 
 
 class TestTorus:
