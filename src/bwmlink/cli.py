@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -90,6 +91,19 @@ def _value_json(value):
         return {"num": value.num.to_pairs(), "den": value.den.to_pairs(),
                 "variables": ["q"]}
     raise TypeError(f"unexpected value type {type(value).__name__}")
+
+
+def _check_out(out_path: str | None) -> None:
+    """Reject an ``--out`` that can never be opened for writing before any
+    work is done; ``_emit`` still catches what this misses."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        raise _UsageError(f"cannot write --out: {out_path!r} is a directory")
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise _UsageError(
+            f"cannot write --out: no directory {parent!r} for {out_path!r}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -357,6 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         return args.func(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

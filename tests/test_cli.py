@@ -4,6 +4,7 @@ import pytest
 
 from bwmlink.bratteli import young_level
 from bwmlink.cli import DEPTH_CAP, M_CAP, N_CAP, SIGNS_CAP, main
+from bwmlink.skein import SkeinEngine
 
 
 def run(capsys, *argv):
@@ -118,9 +119,16 @@ class TestUnwritableOut:
     @pytest.mark.parametrize("argv", [
         ["invariant", "--braid", "B2: 1"],
         ["verify", "omega", "--max-f", "2"],
+        ["torus", "--m", "5"],
+        ["verify", "oracle", "--m", "1..3"],
     ], ids=" ".join)
     @pytest.mark.parametrize("missing_parent", [False, True])
-    def test_exits_2(self, capsys, tmp_path, argv, missing_parent):
+    def test_exits_2(self, capsys, monkeypatch, tmp_path, argv, missing_parent):
+        # checked before any work: an evaluation would raise here
+        def no_work(self, word):
+            raise AssertionError("evaluated before --out was checked")
+
+        monkeypatch.setattr(SkeinEngine, "kauffman_polynomial", no_work)
         target = tmp_path / "missing" / "x" if missing_parent else tmp_path
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2 and out == ""

@@ -59,6 +59,33 @@ def reference_remove_curls(d: PlanarDiagram) -> tuple[PlanarDiagram, int]:
         diagram = PlanarDiagram(crossings, new_arcs, loops)
 
 
+def reference_canonical_key(d: PlanarDiagram) -> tuple[int, ...]:
+    """A full breadth-first labelling from every start crossing, the
+    smallest kept: canonical_key's race and orbit skip must agree with it."""
+    if not d.crossings:
+        return (d.free_loops,)
+    slot_of = d._slot_map()
+    partners = {cid: tuple(slot_of[d.arcs[h]] for h in c.slots)
+                for cid, c in d.crossings.items()}
+    best = None
+    for start in d.crossings:
+        label = {start: 0}
+        order = [start]
+        key: list[int] = []
+        for cid in order:
+            key.append(d.crossings[cid].over)
+            for pid, pslot in partners[cid]:
+                if pid not in label:
+                    label[pid] = len(order)
+                    order.append(pid)
+                key.append(4 * label[pid] + pslot)
+        if len(order) != len(d.crossings):
+            raise ValueError("canonical form requires a connected diagram")
+        if best is None or key < best:
+            best = key
+    return tuple(best)
+
+
 @st.composite
 def small_words(draw, max_strands=4, max_len=6):
     f = draw(st.integers(2, max_strands))
@@ -228,13 +255,41 @@ class TestTraversal:
 
 
 class TestCanonicalKey:
-    @given(small_words(), st.integers(0, 10**6))
-    @settings(max_examples=60)
+    @given(small_words(max_len=8), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
     def test_relabeling_invariance(self, w, seed):
+        # the closure, every resolve child, and relabeled copies of each
+        # give the all-starts reference key
         d = closure_diagram(w)
-        parts = d.connected_parts()
-        for part in parts:
-            assert part.canonical_key() == relabeled(part, seed).canonical_key()
+        diagrams = [d] + [child for cid in sorted(d.crossings)
+                          for child in d.resolve(cid)]
+        for diagram in diagrams:
+            for part in diagram.connected_parts():
+                expected = reference_canonical_key(part)
+                assert part.canonical_key() == expected
+                assert relabeled(part, seed).canonical_key() == expected
+
+    @pytest.mark.parametrize("text", (
+        [f"B2: 1^{m}" for m in range(1, 31)]
+        + [f"B2: -1^{m}" for m in (2, 7, 12)]
+        + ["B3:" + " 1 2" * k for k in range(1, 9)]
+        + ["B3:" + " 1 -2" * k for k in range(1, 6)]
+        + ["B4:" + " 1 2 3" * k for k in range(1, 8)]
+        + ["B4:" + " 1 2 1 3" * 3, "B4:" + " 1 -2 3" * 4,
+           "B5:" + " 1 2 3 4" * 3]))
+    def test_symmetric_closures_match_reference(self, text):
+        # rotations of these closures are automorphisms, so starts tie and
+        # whole orbits are skipped; relabeling changes which start comes
+        # first and which ties are found
+        d = closure_diagram(parse_braid(text))
+        diagrams = [d] + [child for cid in sorted(d.crossings)[:3]
+                          for child in d.resolve(cid)]
+        for diagram in diagrams:
+            for part in diagram.connected_parts():
+                expected = reference_canonical_key(part)
+                assert part.canonical_key() == expected
+                for seed in range(3):
+                    assert relabeled(part, seed).canonical_key() == expected
 
     def test_distinguishes_mirror(self):
         a = closure_diagram(parse_braid("B2: 1 1"))
@@ -258,16 +313,21 @@ class TestCanonicalKey:
                     assert values.setdefault(part.canonical_key(), value) == value
 
     def test_disconnected_raises(self):
-        # two Hopf closures side by side, ids shifted apart
-        hopf = closure_diagram(parse_braid("B2: 1 1"))
-        crossings = {cid + 10: Crossing(tuple(h + 100 for h in c.slots), c.over)
-                     for cid, c in hopf.crossings.items()}
-        arcs = {a + 100: b + 100 for a, b in hopf.arcs.items()}
-        split = PlanarDiagram({**hopf.crossings, **crossings},
-                              {**hopf.arcs, **arcs}, 0)
-        assert len(split.connected_parts()) == 2
-        with pytest.raises(ValueError):
-            split.canonical_key()
+        # two copies of one closure side by side, ids shifted apart; on the
+        # torus closure every start of a copy ties, but the first start's
+        # labelling already falls short
+        for text in ("B2: 1 1", "B2: 1^5"):
+            one = closure_diagram(parse_braid(text))
+            crossings = {cid + 10: Crossing(tuple(h + 100 for h in c.slots),
+                                            c.over)
+                         for cid, c in one.crossings.items()}
+            arcs = {a + 100: b + 100 for a, b in one.arcs.items()}
+            split = PlanarDiagram({**one.crossings, **crossings},
+                                  {**one.arcs, **arcs}, 0)
+            assert len(split.connected_parts()) == 2
+            for seed in range(4):
+                with pytest.raises(ValueError):
+                    (relabeled(split, seed) if seed else split).canonical_key()
 
     def test_debug_dump_contains_key(self):
         d = closure_diagram(parse_braid("B2: 1"))
