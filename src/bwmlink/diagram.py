@@ -296,27 +296,24 @@ class PlanarDiagram:
 
         From a start crossing, crossings are labeled breadth-first, visiting
         each crossing's slots in stored order.  In label order, each crossing
-        contributes a 5-entry chunk: its ``over`` bit, then ``4 * label +
-        slot`` of each slot's arc partner; this describes the diagram
-        completely up to relabeling.  The smallest tuple over all start
-        crossings is kept, so isomorphic labelings collide.  Connected
-        diagrams only.  A crossing-less diagram has key ``(free_loops,)``, a
-        length no key of a diagram with crossings has.
+        contributes its ``over`` bit, then ``4 * label + slot`` of each
+        slot's arc partner; this describes the diagram completely up to
+        relabeling.  The smallest tuple over all start crossings is kept, so
+        isomorphic labelings collide.  Connected diagrams only.  A
+        crossing-less diagram has key ``(free_loops,)``, a length no key of
+        a diagram with crossings has.
 
-        The starts race against the best key so far, one chunk at a time: a
-        start is dropped at its first chunk greater than the best's.  A start
-        whose whole key ties the best's yields the automorphism ``best_order[i]
-        -> order[i]``; every start on its orbit has the same key and is
-        skipped.  Neither shortcut changes the key: on a torus closure
-        T(2, m), where every start ties, one tie skips all the others.
+        A start whose key ties the best's yields the automorphism
+        ``best_order[i] -> order[i]``; every start on its cycle through that
+        start ties too and is skipped.  The key is unchanged: on a torus
+        closure T(2, m), where every start ties, one tie skips all the rest.
         """
         if not self.crossings:
             return (self.free_loops,)
         slot_of = self._slot_map()
-        chunks = {cid: (c.over, tuple(slot_of[self.arcs[h]] for h in c.slots))
-                  for cid, c in self.crossings.items()}
-        best: list[int] = []
-        best_order: list[int] = []
+        partners = {cid: tuple(slot_of[self.arcs[h]] for h in c.slots)
+                    for cid, c in self.crossings.items()}
+        best = None
         skip: set[int] = set()
         for start in self.crossings:
             if start in skip:
@@ -324,32 +321,23 @@ class PlanarDiagram:
             label = {start: 0}
             order = [start]
             key: list[int] = []
-            less = not best  # some chunk so far was smaller than the best's
             for cid in order:  # grows while it is read: breadth-first
-                over, partners = chunks[cid]
-                chunk = [over]
-                for pid, pslot in partners:
+                key.append(self.crossings[cid].over)
+                for pid, pslot in partners[cid]:
                     if pid not in label:
                         label[pid] = len(order)
                         order.append(pid)
-                    chunk.append(4 * label[pid] + pslot)
-                if not less:
-                    ref = best[len(key):len(key) + 5]
-                    if chunk > ref:
-                        break
-                    less = chunk < ref
-                key += chunk
-            else:  # not dropped: the start's key is complete
-                if len(order) != len(self.crossings):
-                    raise ValueError("canonical form requires a connected diagram")
-                if less:
-                    best, best_order = key, order
-                else:
-                    image = dict(zip(best_order, order))
-                    cid = image[start]
-                    while cid != start:
-                        skip.add(cid)
-                        cid = image[cid]
+                    key.append(4 * label[pid] + pslot)
+            if len(order) != len(self.crossings):
+                raise ValueError("canonical form requires a connected diagram")
+            if best is None or key < best:
+                best, best_order = key, order
+            elif key == best:
+                image = dict(zip(best_order, order))
+                cid = image[start]
+                while cid != start:
+                    skip.add(cid)
+                    cid = image[cid]
         return tuple(best)
 
     def debug_dump(self) -> str:

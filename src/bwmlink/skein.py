@@ -112,8 +112,8 @@ class SkeinEngine:
         """Normalized two-variable invariant of the braid's closure:
         r^(-exponent sum) times the regular-isotopy value, taken on the
         freely reduced word (each cancelled pair is a Reidemeister II move)."""
-        num, c = self._value(closure_diagram(free_reduce(b)))
-        return LocalizedPoly(r_pow(-exponent_sum(b)) * num, c - 1)
+        return r_pow(-exponent_sum(b)) * self.regular_isotopy_poly(
+            closure_diagram(free_reduce(b)))
 
 
 def _lift(num: LaurentPoly2, c_smoothing: int, c: int) -> LaurentPoly2:

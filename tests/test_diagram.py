@@ -61,7 +61,7 @@ def reference_remove_curls(d: PlanarDiagram) -> tuple[PlanarDiagram, int]:
 
 def reference_canonical_key(d: PlanarDiagram) -> tuple[int, ...]:
     """A full breadth-first labelling from every start crossing, the
-    smallest kept: canonical_key's race and orbit skip must agree with it."""
+    smallest kept: canonical_key's orbit skip must agree with it."""
     if not d.crossings:
         return (d.free_loops,)
     slot_of = d._slot_map()
