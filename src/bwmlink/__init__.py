@@ -16,7 +16,7 @@ from .bratteli import (BratteliGraph, bmw_level, bratteli_dot, bratteli_json,
 from .closed_forms import (GeneratorPower, generator_power,
                            generator_power_trace, parity_check,
                            symmetry_check, torus2_invariant)
-from .diagram import Crossing, PlanarDiagram
+from .diagram import PlanarDiagram
 from .laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
                       QFraction, Quotient, RationalFn2, Specialization,
                       flip_vars, loop_value, one_var_equal, quantum_dimension,
@@ -27,7 +27,7 @@ from .skein import (SkeinEngine, kauffman_polynomial, osp_invariant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BraidParseError", "BraidWord", "BratteliGraph", "Crossing", "DELTA",
+    "BraidParseError", "BraidWord", "BratteliGraph", "DELTA",
     "GeneratorPower", "LaurentPoly1", "LaurentPoly2", "LocalizedPoly",
     "PlanarDiagram", "QFraction", "Quotient", "RationalFn2", "SkeinEngine",
     "Specialization", "X_NUM", "bmw_level", "bratteli_dot", "bratteli_json",

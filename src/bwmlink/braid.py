@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .diagram import Crossing, PlanarDiagram
+from .diagram import PlanarDiagram
 
 
 class BraidParseError(ValueError):
@@ -195,20 +195,18 @@ def isotopy_moves(b: BraidWord) -> Iterator[tuple[str, BraidWord]]:
 def closure_diagram(b: BraidWord) -> PlanarDiagram:
     """Planar diagram of the canonical closure.
 
-    One crossing per letter, numbered in word order, with slots
+    One crossing per letter, numbered in word order, with slots 0..3
     (bottom-left, bottom-right, top-right, top-left).  Strands are wired
     bottom to top through the braid and then around the closure; positions
     never entered by a letter close into free loops.
     """
-    crossings: dict[int, Crossing] = {}
+    crossings: dict[int, int] = {}
     arc_pairs: list[tuple[int, int]] = []
     current: dict[int, int] = {}  # position -> open half-edge at the top
     lowest: dict[int, int] = {}  # position -> half-edge awaiting the closure arc
-    next_he = 0
     for cid, (i, e) in enumerate(b.letters):
-        h_bl, h_br, h_tr, h_tl = next_he, next_he + 1, next_he + 2, next_he + 3
-        next_he += 4
-        crossings[cid] = Crossing((h_bl, h_br, h_tr, h_tl), 1 if e > 0 else 0)
+        h_bl, h_br, h_tr, h_tl = range(4 * cid, 4 * cid + 4)
+        crossings[cid] = 1 if e > 0 else 0
         for pos, bottom in ((i, h_bl), (i + 1, h_br)):
             if pos in current:
                 arc_pairs.append((current[pos], bottom))

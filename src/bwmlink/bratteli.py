@@ -354,6 +354,8 @@ def enumerate_paths(graph: BratteliGraph, shape: Shape,
     if level > PATH_ENUMERATION_CAP:
         raise ValueError(
             f"path enumeration capped at level {PATH_ENUMERATION_CAP}")
+    if not 0 <= level <= graph.depth:
+        raise ValueError(f"level {level} outside 0..{graph.depth}")
     if shape not in graph.levels[level]:
         raise ValueError(f"shape {list(shape)} is not on level {level}")
     table: dict[Shape, list[tuple[Shape, ...]]] = {(): [((),)]}

@@ -48,8 +48,11 @@ class _UsageError(Exception):
     prints one error line and exits 2."""
 
 
-def _cap(option: str, value: int, cap: int) -> None:
-    if value > cap:
+def _cap(option: str, value: int, cap: int | None) -> None:
+    """Reject a count below 0 or over ``cap`` (None: no upper cap)."""
+    if value < 0:
+        raise _UsageError(f"{option} {value} is negative")
+    if cap is not None and value > cap:
         raise _UsageError(f"{option} {value} over cap {cap}")
 
 
@@ -270,6 +273,7 @@ def _moves_keep_value(engine, text: str, kinds) -> tuple[int, bool]:
 
 
 def _verify_markov(args, report):
+    _cap("words", args.words, None)
     engine = SkeinEngine()
     for text in MARKOV_CORPUS[: args.words]:
         _, ok = _moves_keep_value(engine, text, ("conjugate", "stabilize"))

@@ -1,10 +1,13 @@
 """Closed 4-valent planar diagrams of braid closures and their local moves.
 
 A diagram is a set of crossings plus a perfect matching (the arcs) on their
-half-edges, together with a count of crossing-free closed loops.  Each
-crossing stores four half-edge ids in counterclockwise cyclic order
-(bottom-left, bottom-right, top-right, top-left as created inside a braid)
-and an ``over`` bit naming the over-diagonal:
+half-edges, together with a count of crossing-free closed loops.  Half-edge
+``h`` is slot ``h % 4`` of crossing ``h // 4``, so crossing ``c`` owns
+half-edges ``4c .. 4c + 3``, and no move renumbers a half-edge.  The slots
+run counterclockwise (bottom-left, bottom-right, top-right, top-left as
+created inside a braid), so ``h ^ 2`` is the opposite slot on the same
+crossing.  Each crossing stores only its ``over`` bit, naming the
+over-diagonal:
 
 * ``over == 1``: the diagonal through slots 1 and 3 is over (the positive
   braid letter),
@@ -24,11 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
-class Crossing(NamedTuple):
-    slots: tuple[int, int, int, int]  # half-edge ids, counterclockwise
-    over: int  # 1: diagonal {1,3} over; 0: diagonal {0,2} over
-
-
 PAR_PAIRS = ((0, 3), (1, 2))
 CAP_PAIRS = ((0, 1), (2, 3))
 STRAIGHT_PAIRS = ((0, 2), (1, 3))
@@ -37,7 +35,7 @@ STRAIGHT_PAIRS = ((0, 2), (1, 3))
 class Traversal(NamedTuple):
     """Strand walk of a diagram from deterministic base points."""
 
-    components: tuple[tuple[tuple[int, int], ...], ...]  # (crossing, entry slot)
+    components: int  # number of closed strands through crossings
     switch_candidate: int | None  # first crossing met on its under-strand
     writhe: int  # sum of geometric crossing signs
 
@@ -46,18 +44,18 @@ class Traversal(NamedTuple):
 class PlanarDiagram:
     """Immutable closed diagram: crossings, arcs and free loops.
 
-    ``arcs`` maps each half-edge to its partner (a symmetric involution
-    without fixed points).
+    ``crossings`` maps each crossing id to its over bit; ``arcs`` maps each
+    half-edge to its partner (a symmetric involution without fixed points).
     """
 
-    crossings: dict[int, Crossing]
+    crossings: dict[int, int]
     arcs: dict[int, int]
     free_loops: int = 0
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def build(crossings: dict[int, Crossing],
+    def build(crossings: dict[int, int],
               arc_pairs: Iterable[tuple[int, int]],
               free_loops: int = 0) -> PlanarDiagram:
         arcs: dict[int, int] = {}
@@ -68,15 +66,11 @@ class PlanarDiagram:
 
     def validate(self) -> None:
         """Check the half-edge bookkeeping; raises on inconsistency."""
-        seen: set[int] = set()
-        for cid, c in self.crossings.items():
-            for h in c.slots:
-                if h in seen:
-                    raise ValueError(f"half-edge {h} in two crossing slots")
-                seen.add(h)
-            if c.over not in (0, 1):
-                raise ValueError(f"crossing {cid} has bad over bit")
-        if set(self.arcs) != seen:
+        for cid, over in self.crossings.items():
+            if cid < 0 or over not in (0, 1):
+                raise ValueError(f"crossing {cid} has bad id or over bit {over}")
+        if set(self.arcs) != {4 * cid + i for cid in self.crossings
+                              for i in range(4)}:
             raise ValueError("arc endpoints do not match crossing slots")
         for a, b in self.arcs.items():
             if a == b or self.arcs[b] != a:
@@ -90,13 +84,6 @@ class PlanarDiagram:
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    def _slot_map(self) -> dict[int, tuple[int, int]]:
-        out = {}
-        for cid, c in self.crossings.items():
-            for i, h in enumerate(c.slots):
-                out[h] = (cid, i)
-        return out
-
     # -- strand traversal ------------------------------------------------------
 
     def traverse(self) -> Traversal:
@@ -109,45 +96,41 @@ class PlanarDiagram:
         crossing is +1 exactly when the over-strand enters one slot
         counterclockwise from the under-strand's entry.
         """
-        slot_of = self._slot_map()
         visited: set[int] = set()
-        components: list[tuple[tuple[int, int], ...]] = []
+        components = 0
         entries: dict[int, list[int]] = {cid: [] for cid in self.crossings}
         switch: int | None = None
         for h0 in sorted(self.arcs):
             if h0 in visited:
                 continue
-            comp: list[tuple[int, int]] = []
+            components += 1
             h = h0
             while True:
                 visited.add(h)
                 h2 = self.arcs[h]
                 visited.add(h2)
-                cid, slot = slot_of[h2]
-                comp.append((cid, slot))
+                cid, slot = divmod(h2, 4)
                 first = not entries[cid]
                 entries[cid].append(slot)
-                if first and switch is None and slot % 2 != self.crossings[cid].over:
+                if first and switch is None and slot % 2 != self.crossings[cid]:
                     switch = cid
-                h = self.crossings[cid].slots[(slot + 2) % 4]
+                h = h2 ^ 2
                 if h == h0:
                     break
-            components.append(tuple(comp))
         writhe = 0
         for cid, ent in entries.items():
             e1, e2 = ent
-            over = self.crossings[cid].over
+            over = self.crossings[cid]
             over_entry, under_entry = (e1, e2) if e1 % 2 == over else (e2, e1)
             writhe += 1 if (over_entry - under_entry) % 4 == 1 else -1
-        return Traversal(tuple(components), switch, writhe)
+        return Traversal(components, switch, writhe)
 
     # -- local moves -----------------------------------------------------------
 
     def with_switched(self, cid: int) -> PlanarDiagram:
         """Flip the over-diagonal of one crossing."""
-        c = self.crossings[cid]
         crossings = dict(self.crossings)
-        crossings[cid] = Crossing(c.slots, 1 - c.over)
+        crossings[cid] = 1 - crossings[cid]
         return PlanarDiagram(crossings, self.arcs, self.free_loops)
 
     def _contract(self, cids: Iterable[int], pairs) -> PlanarDiagram:
@@ -161,10 +144,9 @@ class PlanarDiagram:
         removed = set(cids)
         join: dict[int, int] = {}
         for cid in removed:
-            slots = self.crossings[cid].slots
             for i, j in pairs:
-                join[slots[i]] = slots[j]
-                join[slots[j]] = slots[i]
+                join[4 * cid + i] = 4 * cid + j
+                join[4 * cid + j] = 4 * cid + i
         arcs = self.arcs
         new_arcs: dict[int, int] = {}
         on_chain: set[int] = set()
@@ -183,7 +165,7 @@ class PlanarDiagram:
                 while h not in on_chain:  # mark the closed chain through h
                     on_chain.update((h, join[h]))
                     h = arcs[join[h]]
-        crossings = {cid: c for cid, c in self.crossings.items()
+        crossings = {cid: over for cid, over in self.crossings.items()
                      if cid not in removed}
         return PlanarDiagram(crossings, new_arcs, self.free_loops + loops)
 
@@ -207,11 +189,11 @@ class PlanarDiagram:
         diagram, total = self, 0
         while True:
             kinks = []
-            for cid, c in diagram.crossings.items():
+            for cid, over in diagram.crossings.items():
                 for a in range(4):
-                    if diagram.arcs[c.slots[a]] == c.slots[(a + 1) % 4]:
+                    if diagram.arcs[4 * cid + a] == 4 * cid + (a + 1) % 4:
                         kinks.append(cid)
-                        total += 1 if a % 2 == c.over else -1
+                        total += 1 if a % 2 == over else -1
                         break
             if not kinks:
                 return diagram, total
@@ -227,13 +209,12 @@ class PlanarDiagram:
         changes the diagram value; the engine applies it by default, and
         equivalence tests check it against the engine without it.
         """
-        slot_of = self._slot_map()
         links: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for h, h2 in self.arcs.items():
             if h >= h2:
                 continue
-            c1, s1 = slot_of[h]
-            c2, s2 = slot_of[h2]
+            c1, s1 = divmod(h, 4)
+            c2, s2 = divmod(h2, 4)
             if c1 == c2:
                 continue
             if c1 > c2:
@@ -251,8 +232,8 @@ class PlanarDiagram:
                         a_slot, b_slot = u2, v2
                     else:
                         continue
-                    over_a = a_slot % 2 == self.crossings[ca].over
-                    over_b = b_slot % 2 == self.crossings[cb].over
+                    over_a = a_slot % 2 == self.crossings[ca]
+                    over_b = b_slot % 2 == self.crossings[cb]
                     if over_a != over_b:
                         continue
                     return self._contract((ca, cb), STRAIGHT_PAIRS)
@@ -266,9 +247,6 @@ class PlanarDiagram:
         Free loops stay with the caller: every part is returned with
         free_loops = 0.
         """
-        if not self.crossings:
-            return []
-        slot_of = self._slot_map()
         remaining = set(self.crossings)
         parts: list[PlanarDiagram] = []
         while remaining:
@@ -277,25 +255,24 @@ class PlanarDiagram:
             frontier = [seed]
             while frontier:
                 cid = frontier.pop()
-                for h in self.crossings[cid].slots:
-                    nid = slot_of[self.arcs[h]][0]
+                for h in range(4 * cid, 4 * cid + 4):
+                    nid = self.arcs[h] // 4
                     if nid not in group:
                         group.add(nid)
                         frontier.append(nid)
             remaining -= group
             crossings = {cid: self.crossings[cid] for cid in sorted(group)}
-            hes = {h for cid in group for h in self.crossings[cid].slots}
-            arcs = {a: b for a, b in self.arcs.items() if a in hes}
+            arcs = {a: b for a, b in self.arcs.items() if a // 4 in group}
             parts.append(PlanarDiagram(crossings, arcs, 0))
         return parts
 
     # -- canonical form --------------------------------------------------------
 
     def canonical_key(self) -> tuple[int, ...]:
-        """Int tuple invariant under relabeling of half-edges/crossings.
+        """Int tuple invariant under relabeling of crossings.
 
         From a start crossing, crossings are labeled breadth-first, visiting
-        each crossing's slots in stored order.  In label order, each crossing
+        each crossing's slots in order.  In label order, each crossing
         contributes its ``over`` bit, then ``4 * label + slot`` of each
         slot's arc partner; this describes the diagram completely up to
         relabeling.  The smallest tuple over all start crossings is kept, so
@@ -310,9 +287,9 @@ class PlanarDiagram:
         """
         if not self.crossings:
             return (self.free_loops,)
-        slot_of = self._slot_map()
-        partners = {cid: tuple(slot_of[self.arcs[h]] for h in c.slots)
-                    for cid, c in self.crossings.items()}
+        partners = {cid: tuple(divmod(self.arcs[h], 4)
+                               for h in range(4 * cid, 4 * cid + 4))
+                    for cid in self.crossings}
         best = None
         skip: set[int] = set()
         for start in self.crossings:
@@ -322,7 +299,7 @@ class PlanarDiagram:
             order = [start]
             key: list[int] = []
             for cid in order:  # grows while it is read: breadth-first
-                key.append(self.crossings[cid].over)
+                key.append(self.crossings[cid])
                 for pid, pslot in partners[cid]:
                     if pid not in label:
                         label[pid] = len(order)
@@ -343,8 +320,7 @@ class PlanarDiagram:
     def debug_dump(self) -> str:
         lines = [f"free_loops {self.free_loops}"]
         for cid in sorted(self.crossings):
-            c = self.crossings[cid]
-            lines.append(f"crossing {cid} slots {c.slots} over {c.over}")
+            lines.append(f"crossing {cid} over {self.crossings[cid]}")
         for a in sorted(self.arcs):
             if a < self.arcs[a]:
                 lines.append(f"arc {a} {self.arcs[a]}")

@@ -443,7 +443,7 @@ class LocalizedPoly:
     divide num.
 
     The constructor normalizes by repeated exact division by (s - s^-1)
-    (``_div_delta``).
+    (``_div_delta``); ``_normal`` wraps a pair already in that form.
     """
 
     __slots__ = ("num", "k")
@@ -461,6 +461,12 @@ class LocalizedPoly:
                 num, k = q, k - 1
         self.num = num
         self.k = k
+
+    @staticmethod
+    def _normal(num: LaurentPoly2, k: int) -> LocalizedPoly:
+        value = object.__new__(LocalizedPoly)
+        value.num, value.k = num, k
+        return value
 
     @staticmethod
     def from_poly(p: LaurentPoly2 | int) -> LocalizedPoly:
@@ -494,7 +500,7 @@ class LocalizedPoly:
     __radd__ = __add__
 
     def __neg__(self) -> LocalizedPoly:
-        return LocalizedPoly(-self.num, self.k)
+        return LocalizedPoly._normal(-self.num, self.k)
 
     def __sub__(self, other):
         return self + (-other)
@@ -517,11 +523,13 @@ class LocalizedPoly:
         return _power(self, n, LocalizedPoly.from_poly(1))
 
     def flip_vars(self) -> LocalizedPoly:
-        """Value at (-r, -s); the denominator flip contributes (-1)^k."""
+        """Value at (-r, -s); the denominator flip contributes (-1)^k.
+        (s - s^-1) divides num exactly when it divides the flipped num, so
+        the result is already normal."""
         num = self.num.flip_vars()
         if self.k % 2:
             num = -num
-        return LocalizedPoly(num, self.k)
+        return LocalizedPoly._normal(num, self.k)
 
     def to_text(self) -> str:
         if self.k == 0:

@@ -94,12 +94,12 @@ class SkeinEngine:
             if hit is not None:
                 return hit
         walk = part.traverse()
-        c = len(walk.components)
+        c = walk.components
         if walk.switch_candidate is None:
             num = r_pow(walk.writhe) * X_NUM ** (c - 1)
         else:
             switched, par, cap = part.resolve(walk.switch_candidate)
-            state = 1 if part.crossings[walk.switch_candidate].over == 1 else -1
+            state = 1 if part.crossings[walk.switch_candidate] == 1 else -1
             correction = (_lift(*self._value(par), c)
                           - _lift(*self._value(cap), c))
             num = self._value(switched)[0] + state * correction

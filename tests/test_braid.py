@@ -204,7 +204,7 @@ class TestClosureDiagram:
         assert d.crossing_count == 3 and d.free_loops == 0
         d.validate()
         walk = d.traverse()
-        assert len(walk.components) == 1
+        assert walk.components == 1
 
     def test_untouched_strand_is_loop(self):
         d = closure_diagram(parse_braid("B4: 1"))
@@ -219,4 +219,4 @@ class TestClosureDiagram:
         touched = {p for i, _ in w.letters for p in (i, i + 1)}
         assert d.free_loops == w.strands - len(touched)
         walk = d.traverse()
-        assert len(walk.components) + d.free_loops == component_count(w)
+        assert walk.components + d.free_loops == component_count(w)

@@ -296,6 +296,13 @@ class TestGraph:
         with pytest.raises(ValueError):
             yb.enumerate_paths(g, (7,), 7)
 
+    @pytest.mark.parametrize("level", [-1, 3, 4])
+    def test_enumerate_paths_level_out_of_range(self, level):
+        # level -1 must not read the last level, nor 3 or 4 run off the end
+        g = yb.generic_bratteli(2)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            yb.enumerate_paths(g, (), level)
+
 
 TRUNCATED_LEVELS_N1 = [
     [()],

@@ -270,6 +270,21 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "over cap" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "markov", "--words", "-1"],
+        ["verify", "parity", "--max-m", "-1"],
+        ["verify", "omega", "--max-f", "-2"],
+        ["verify", "sumrule", "--max-f", "-1"],
+        ["verify", "lemma2", "--max-size", "-1"],
+        ["verify", "lemma2", "--max-n", "-1"],
+        ["verify", "lemma2", "--random-signs", "-1"],
+    ], ids=" ".join)
+    def test_negative_count_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "negative" in err
+
     def test_parity_at_cap(self, capsys):
         code, out, _ = run(capsys, "verify", "parity", "--max-m", str(M_CAP))
         assert code == 0

@@ -4,22 +4,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bwmlink.braid import BraidWord, closure_diagram, parse_braid
-from bwmlink.diagram import Crossing, PlanarDiagram
+from bwmlink.diagram import PlanarDiagram
 from bwmlink.skein import SkeinEngine
 
 
 def relabeled(d: PlanarDiagram, seed: int) -> PlanarDiagram:
-    """Apply a random permutation to half-edge and crossing ids."""
+    """Apply a random permutation to crossing ids; each half-edge follows
+    its crossing and keeps its slot."""
     rng = random.Random(seed)
-    hes = sorted(d.arcs)
-    perm = dict(zip(hes, rng.sample(hes, len(hes))))
     cids = sorted(d.crossings)
     cperm = dict(zip(cids, rng.sample(cids, len(cids))))
-    crossings = {
-        cperm[cid]: Crossing(tuple(perm[h] for h in c.slots), c.over)
-        for cid, c in d.crossings.items()
-    }
-    arcs = {perm[a]: perm[b] for a, b in d.arcs.items()}
+
+    def move(h):
+        return 4 * cperm[h // 4] + h % 4
+
+    crossings = {cperm[cid]: over for cid, over in d.crossings.items()}
+    arcs = {move(a): move(b) for a, b in d.arcs.items()}
     return PlanarDiagram(crossings, arcs, d.free_loops)
 
 
@@ -31,9 +31,8 @@ def reference_remove_curls(d: PlanarDiagram) -> tuple[PlanarDiagram, int]:
     while True:
         found = None
         for cid in sorted(diagram.crossings):
-            slots = diagram.crossings[cid].slots
             for a in range(4):
-                if diagram.arcs[slots[a]] == slots[(a + 1) % 4]:
+                if diagram.arcs[4 * cid + a] == 4 * cid + (a + 1) % 4:
                     found = (cid, a)
                     break
             if found:
@@ -41,13 +40,11 @@ def reference_remove_curls(d: PlanarDiagram) -> tuple[PlanarDiagram, int]:
         if not found:
             return diagram, total
         cid, a = found
-        c = diagram.crossings[cid]
-        total += 1 if a % 2 == c.over else -1
-        b1, b2 = c.slots[(a + 2) % 4], c.slots[(a + 3) % 4]
+        total += 1 if a % 2 == diagram.crossings[cid] else -1
+        b1, b2 = 4 * cid + (a + 2) % 4, 4 * cid + (a + 3) % 4
         p1, p2 = diagram.arcs[b1], diagram.arcs[b2]
-        inner = set(c.slots)
         new_arcs = {x: y for x, y in diagram.arcs.items()
-                    if x not in inner and y not in inner}
+                    if x // 4 != cid and y // 4 != cid}
         loops = diagram.free_loops
         if p1 == b2:
             loops += 1
@@ -64,16 +61,16 @@ def reference_canonical_key(d: PlanarDiagram) -> tuple[int, ...]:
     smallest kept: canonical_key's orbit skip must agree with it."""
     if not d.crossings:
         return (d.free_loops,)
-    slot_of = d._slot_map()
-    partners = {cid: tuple(slot_of[d.arcs[h]] for h in c.slots)
-                for cid, c in d.crossings.items()}
+    partners = {cid: tuple(divmod(d.arcs[h], 4)
+                           for h in range(4 * cid, 4 * cid + 4))
+                for cid in d.crossings}
     best = None
     for start in d.crossings:
         label = {start: 0}
         order = [start]
         key: list[int] = []
         for cid in order:
-            key.append(d.crossings[cid].over)
+            key.append(d.crossings[cid])
             for pid, pslot in partners[cid]:
                 if pid not in label:
                     label[pid] = len(order)
@@ -159,9 +156,8 @@ class TestRemoveCurls:
     def test_negative_kink(self):
         # both arcs of the one-crossing closure are kink arcs: one loop
         d = closure_diagram(parse_braid("B2: -1"))
-        c = d.crossings[0]
-        assert d.arcs[c.slots[1]] == c.slots[2]
-        assert d.arcs[c.slots[3]] == c.slots[0]
+        assert d.arcs[1] == 2
+        assert d.arcs[3] == 0
         reduced, kinks = d.remove_curls()
         assert kinks == -1
         assert reduced.crossing_count == 0 and reduced.free_loops == 1
@@ -193,6 +189,35 @@ class TestRemoveCurls:
         assert kinks == 0 and reduced.crossing_count == 2
 
 
+class TestValidate:
+    """Half-edge h is slot h % 4 of crossing h // 4; validate enforces it."""
+
+    def test_closure_is_valid(self):
+        closure_diagram(parse_braid("B3: 1 -2 1")).validate()
+
+    def test_arc_endpoint_on_absent_crossing(self):
+        d = closure_diagram(parse_braid("B2: 1 1"))
+        moved = {a if a < 4 else a + 16: b if b < 4 else b + 16
+                 for a, b in d.arcs.items()}
+        for bad in (PlanarDiagram({0: 1}, d.arcs, 0),
+                    PlanarDiagram(d.crossings, moved, 0)):
+            with pytest.raises(ValueError, match="arc endpoints"):
+                bad.validate()
+
+    @pytest.mark.parametrize("over", (-1, 2))
+    def test_bad_over_bit(self, over):
+        d = closure_diagram(parse_braid("B2: 1 1"))
+        with pytest.raises(ValueError, match="over bit"):
+            PlanarDiagram({0: 1, 1: over}, d.arcs, 0).validate()
+
+    def test_negative_crossing_id(self):
+        # negative half-edges name no crossing, so crossing -1 cannot own -4..-1
+        d = closure_diagram(parse_braid("B2: 1"))
+        shifted = {a - 4: b - 4 for a, b in d.arcs.items()}
+        with pytest.raises(ValueError, match="bad id"):
+            PlanarDiagram({-1: 1}, shifted, 0).validate()
+
+
 class TestSingleContraction:
     """Smoothings, kinks and pokes all delete crossings through one splice."""
 
@@ -216,6 +241,8 @@ class TestSingleContraction:
             if poked is not None:
                 poked.validate()
                 assert poked.crossing_count == diagram.crossing_count - 2
+            for part in diagram.connected_parts():
+                part.validate()
 
     def test_independent_kinks_in_one_sweep(self, monkeypatch):
         d = closure_diagram(parse_braid("B4: 1 3"))
@@ -238,7 +265,7 @@ class TestTraversal:
         walk = closure_diagram(parse_braid("B2: 1")).traverse()
         assert walk.switch_candidate is None
         assert walk.writhe == 1
-        assert len(walk.components) == 1
+        assert walk.components == 1
 
     def test_writhe_matches_exponent_sum_on_positive_words(self):
         for text in ("B2: 1 1", "B2: 1 1 1", "B3: 1 2", "B4: 1 2 3 1"):
@@ -318,10 +345,8 @@ class TestCanonicalKey:
         # labelling already falls short
         for text in ("B2: 1 1", "B2: 1^5"):
             one = closure_diagram(parse_braid(text))
-            crossings = {cid + 10: Crossing(tuple(h + 100 for h in c.slots),
-                                            c.over)
-                         for cid, c in one.crossings.items()}
-            arcs = {a + 100: b + 100 for a, b in one.arcs.items()}
+            crossings = {cid + 10: over for cid, over in one.crossings.items()}
+            arcs = {a + 40: b + 40 for a, b in one.arcs.items()}
             split = PlanarDiagram({**one.crossings, **crossings},
                                   {**one.arcs, **arcs}, 0)
             assert len(split.connected_parts()) == 2
@@ -346,12 +371,9 @@ class TestConnectedParts:
 
     def test_genuinely_split_crossings(self):
         d1 = closure_diagram(parse_braid("B2: 1 1"))
-        shifted = {
-            cid + 10: Crossing(tuple(h + 100 for h in c.slots), c.over)
-            for cid, c in d1.crossings.items()
-        }
+        shifted = {cid + 10: over for cid, over in d1.crossings.items()}
         arcs = dict(d1.arcs)
-        arcs.update({a + 100: b + 100 for a, b in d1.arcs.items()})
+        arcs.update({a + 40: b + 40 for a, b in d1.arcs.items()})
         merged = PlanarDiagram({**d1.crossings, **shifted}, arcs, 0)
         parts = merged.connected_parts()
         assert len(parts) == 2

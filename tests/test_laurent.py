@@ -158,6 +158,27 @@ class TestLocalizedFastPaths:
         w = LocalizedPoly(S, 1) + LocalizedPoly(-s_pow(-1), 1)
         assert (w.num, w.k) == (LaurentPoly2.const(1), 0)
 
+    @pytest.mark.parametrize("num, k", [(X_NUM, 1), (R + S, 2), (S, 3)])
+    def test_neg_and_flip_skip_division(self, monkeypatch, num, k):
+        # both keep (s - s^-1) from dividing the numerator, so neither
+        # needs a trial division
+        v = LocalizedPoly(num, k)
+        assert v.k == k
+        calls = []
+        div_delta = laurent._div_delta
+
+        def counted(p):
+            calls.append(p)
+            return div_delta(p)
+
+        monkeypatch.setattr(laurent, "_div_delta", counted)
+        neg, flipped = -v, v.flip_vars()
+        assert calls == []
+        monkeypatch.undo()
+        assert (neg.num, neg.k) == generic(-v.num, k)
+        sign = -1 if k % 2 else 1
+        assert (flipped.num, flipped.k) == generic(sign * v.num.flip_vars(), k)
+
 
 class TestLocalized:
     def test_loop_value_clears(self):

@@ -331,9 +331,9 @@ def _reference_connected(part) -> LocalizedPoly:
         return r_pow(kink_sum) * reference_value(uncurled)
     walk = part.traverse()
     if walk.switch_candidate is None:
-        return r_pow(walk.writhe) * X ** (len(walk.components) - 1)
+        return r_pow(walk.writhe) * X ** (walk.components - 1)
     switched, par, cap = part.resolve(walk.switch_candidate)
-    state = 1 if part.crossings[walk.switch_candidate].over == 1 else -1
+    state = 1 if part.crossings[walk.switch_candidate] == 1 else -1
     correction = DELTA * (reference_value(par) - reference_value(cap))
     return reference_value(switched) + state * correction
 
