@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly1, LaurentPoly2,
-                      Quotient, Specialization, s_pow, specialize,
+from .laurent import (DELTA, ONE2, X_NUM, LaurentPoly1, LaurentPoly2,
+                      Quotient, Specialization, specialize,
                       sums_of_products_equal)
 
 Shape = tuple[int, ...]
@@ -129,10 +128,12 @@ def d_stat(shape: Shape, i: int, j: int) -> int:
     return _axial(shape, conjugate(shape), i, j)
 
 
-def _box_factors(shape: Shape):
+@lru_cache(maxsize=None)
+def _box_factors(shape: Shape) -> tuple[tuple[LaurentPoly2, int], ...]:
     """Each box's numerator factor and hook length, with the conjugate
     computed once for the whole shape."""
     conj = conjugate(shape)
+    out = []
     for i, j in boxes(shape):
         hook = _hook(shape, conj, i, j)
         if i == j:
@@ -143,26 +144,14 @@ def _box_factors(shape: Shape):
         else:
             d = _axial(shape, conj, i, j)
             factor = LaurentPoly2({(1, d): 1, (-1, -d): -1})
-        yield factor, hook
+        out.append((factor, hook))
+    return tuple(out)
 
 
-def _weight_parts(shape: Shape) -> tuple[LaurentPoly2, Counter]:
-    """Numerator of a shape's trace weight (the product of the per-box
-    numerator factors) and the multiset of its hook lengths."""
-    num = ONE2
-    hooks: Counter = Counter()
-    for factor, hook in _box_factors(shape):
-        num = num * factor
-        hooks[hook] += 1
-    return num, hooks
-
-
-def _hook_product(hooks: Mapping[int, int]) -> LaurentPoly2:
-    """The product of (s^h - s^-h)^m over the hook multiset {h: m}."""
-    out = ONE2
-    for h, m in sorted(hooks.items()):
-        out = out * (s_pow(h) - s_pow(-h)) ** m
-    return out
+@lru_cache(maxsize=None)
+def _hook_gap(h: int) -> LaurentPoly2:
+    """s^h - s^-h, the denominator factor of a box with hook length h."""
+    return LaurentPoly2({(0, h): 1, (0, -h): -1})
 
 
 def trace_weight(shape: Shape) -> Quotient:
@@ -171,8 +160,10 @@ def trace_weight(shape: Shape) -> Quotient:
     Assembled as one unreduced quotient: numerator and denominator are the
     products of the per-box factors.
     """
-    num, hooks = _weight_parts(shape)
-    return Quotient(num, _hook_product(hooks))
+    num = den = ONE2
+    for factor, hook in _box_factors(shape):
+        num, den = num * factor, den * _hook_gap(hook)
+    return Quotient(num, den)
 
 
 def matrix_unit_trace(shape: Shape, f: int) -> Quotient:
@@ -203,32 +194,41 @@ class BratteliGraph:
         return self.path_counts[level][shape]
 
 
-def _build_graph(depth: int, keep=None) -> BratteliGraph:
+@lru_cache(maxsize=None)
+def _level_shapes(k: int, n: int | None) -> tuple[Shape, ...]:
+    """Level k of the generic graph (n None) or of its rank-n truncation."""
+    return tuple(s for s in bmw_level(k) if n is None or truncation_rule(s, n))
+
+
+@lru_cache(maxsize=None)
+def _level_edges(k: int, n: int | None) -> tuple[tuple[Shape, Shape], ...]:
+    """The one-box edges from level k to level k + 1, lower shape first,
+    then upper-level order."""
+    upper = _level_shapes(k + 1, n)
+    position = {s: idx for idx, s in enumerate(upper)}
+    gap: list[tuple[Shape, Shape]] = []
+    for lo in _level_shapes(k, n):
+        found = sorted(position[s] for s in
+                       _one_box_larger(lo) + _one_box_smaller(lo)
+                       if s in position)
+        gap.extend((lo, upper[idx]) for idx in found)
+    return tuple(gap)
+
+
+def _build_graph(depth: int, n: int | None = None) -> BratteliGraph:
+    """The graph to ``depth``, truncated at rank n unless n is None; levels
+    and edges are shared between calls, path counts are fresh dicts."""
     if depth < 0:
         raise ValueError("negative depth")
-    levels: list[tuple[Shape, ...]] = []
-    for k in range(depth + 1):
-        shapes = bmw_level(k)
-        if keep is not None:
-            shapes = tuple(s for s in shapes if keep(s))
-        levels.append(shapes)
-    edges: list[tuple[tuple[Shape, Shape], ...]] = []
+    levels = tuple(_level_shapes(k, n) for k in range(depth + 1))
+    edges = tuple(_level_edges(k, n) for k in range(depth))
     counts: list[dict[Shape, int]] = [{(): 1}]
-    for k in range(depth):
-        upper = levels[k + 1]
-        position = {s: idx for idx, s in enumerate(upper)}
-        gap: list[tuple[Shape, Shape]] = []
-        for lo in levels[k]:
-            found = sorted(position[s] for s in
-                           _one_box_larger(lo) + _one_box_smaller(lo)
-                           if s in position)
-            gap.extend((lo, upper[idx]) for idx in found)
-        edges.append(tuple(gap))
-        level_counts: dict[Shape, int] = {s: 0 for s in upper}
+    for gap, upper in zip(edges, levels[1:]):
+        below, level_counts = counts[-1], dict.fromkeys(upper, 0)
         for lo, hi in gap:
-            level_counts[hi] += counts[k][lo]
+            level_counts[hi] += below[lo]
         counts.append(level_counts)
-    return BratteliGraph(tuple(levels), tuple(edges), tuple(counts))
+    return BratteliGraph(levels, edges, tuple(counts))
 
 
 def generic_bratteli(depth: int) -> BratteliGraph:
@@ -257,16 +257,11 @@ def specialized_weight_nonzero(shape: Shape, spec: Specialization) -> bool:
 
 
 def _one_box_smaller(shape: Shape) -> list[Shape]:
-    out = []
-    for i in range(len(shape)):
-        nxt = shape[i + 1] if i + 1 < len(shape) else 0
-        if shape[i] - 1 >= nxt:
-            rows = list(shape)
-            rows[i] -= 1
-            if rows[-1] == 0:
-                rows.pop()
-            out.append(tuple(rows))
-    return out
+    """Shapes with one box taken from the end of a row; a row of one box
+    can only be the last and then goes away."""
+    return [shape[:i] + (shape[i] - 1,) * (shape[i] > 1) + shape[i + 1:]
+            for i in range(len(shape))
+            if i == len(shape) - 1 or shape[i] > shape[i + 1]]
 
 
 def _one_box_larger(shape: Shape) -> list[Shape]:
@@ -296,45 +291,39 @@ def survives_truncation(shape: Shape, spec: Specialization) -> bool:
 
 def truncated_bratteli(spec: Specialization, depth: int) -> BratteliGraph:
     """Induced subgraph on the surviving shapes, path counts recomputed."""
-    return _build_graph(depth, keep=lambda s: truncation_rule(s, spec.n))
+    return _build_graph(depth, spec.n)
 
 
 def sum_rule_check(f: int) -> bool:
     """Exact identity: the path-count-weighted sum of level-f trace weights
     equals x^f = X_NUM^f / (s - s^-1)^f.
 
-    Every weight is num / H(hooks), with H(hooks) the product of
-    (s^h - s^-h) over the shape's hook lengths, and s - s^-1 = H({1: 1}).
-    Take C, the union (maximum multiplicity) of the level's hook
-    multisets and of {1: f}; H(C) is a common multiple of every
-    denominator.  Multiplying both sides by H(C) turns the identity into
-    one between Laurent polynomials,
+    Every weight is num / H(hooks): num is the product of the shape's box
+    factors, H(hooks) that of (s^h - s^-h) over its hook lengths, and
+    s - s^-1 = H({1: 1}).  For C, the union (maximum multiplicity) of the
+    level's hook multisets and of {1: f}, H(C) is a common multiple of
+    every denominator, and multiplying by it gives
 
-        sum count * num * H(C - hooks) == X_NUM^f * H(C - {1: f}),
+        sum count * num * H(C - hooks) - X_NUM^f * H(C - {1: f}) == 0.
 
-    and since the Laurent ring is an integral domain and H(C) is nonzero,
-    the two identities hold or fail together.
-
-    Shapes with equal hook multisets share the factor H(C - hooks) (a
-    shape and its conjugate always do), so the left side is summed as
-    sum over groups of H(C - hooks) * (sum of count * num in the group):
-    the same polynomial by distributivity, with one product per group
-    instead of one per shape.  Those products and X_NUM^f * H(C - {1: f})
-    are not expanded: ``sums_of_products_equal`` compares the two sums of
-    products exactly by Kronecker substitution.
+    The Laurent ring is an integral domain and H(C) is nonzero, so the two
+    identities hold or fail together, whatever form the products are
+    written in.  Nothing is expanded or grouped: each shape, and x^f as
+    count -1 with f factors X_NUM and hooks {1: f}, gives one tuple of
+    factors, and ``sums_of_products_equal`` decides exactly whether the
+    products sum to 0.
     """
     graph = generic_bratteli(f)
-    groups: dict[frozenset, LaurentPoly2] = {}
-    common = Counter({1: f})
-    for shape in graph.levels[f]:
-        num, hooks = _weight_parts(shape)
-        key = frozenset(hooks.items())
-        groups[key] = groups.get(key, ZERO2) + num * graph.path_count(shape, f)
-        common |= hooks
-    lhs = [(partial, _hook_product(common - Counter(dict(key))))
-           for key, partial in groups.items()]
-    rhs = [(X_NUM,) * f + (_hook_product(common - Counter({1: f})),)]
-    return sums_of_products_equal(lhs, rhs)
+    terms = [(graph.path_count(shape, f), tuple(_box_factors(shape)))
+             for shape in graph.levels[f]] + [(-1, ((X_NUM, 1),) * f)]
+    hooks = [Counter(h for _, h in boxes_) for _, boxes_ in terms]
+    common = Counter()
+    for multiset in hooks:
+        common |= multiset
+    products = [(LaurentPoly2.const(count), *(factor for factor, _ in boxes_),
+                 *map(_hook_gap, (common - multiset).elements()))
+                for (count, boxes_), multiset in zip(terms, hooks)]
+    return sums_of_products_equal(products, [])
 
 
 def path_pair_count(f: int) -> int:
@@ -383,9 +372,8 @@ def specialized_weights_equal(shape: Shape, n: int) -> bool:
     lhs: list[LaurentPoly1] = []  # num_osp * den_so
     rhs: list[LaurentPoly1] = []  # num_so * den_osp
     for factor, hook in _box_factors(shape):
-        gap = s_pow(hook) - s_pow(-hook)
-        lhs += specialize(factor, osp), specialize(gap, so)
-        rhs += specialize(factor, so), specialize(gap, osp)
+        lhs += specialize(factor, osp), specialize(_hook_gap(hook), so)
+        rhs += specialize(factor, so), specialize(_hook_gap(hook), osp)
     return sums_of_products_equal([tuple(lhs)], [tuple(rhs)])
 
 

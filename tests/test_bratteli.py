@@ -136,6 +136,13 @@ def box_by_box_weight(shape):
     return RationalFn2(num, den)
 
 
+def negate_first_factor(box_factors):
+    """The box factors of a shape with the first one negated: the shape's
+    weight numerator negated, its hook lengths kept."""
+    (factor, hook), *rest = box_factors
+    return ((-factor, hook), *rest)
+
+
 class TestSumRuleCommonDenominator:
     def test_holds_to_8(self):
         for f in range(6, 9):
@@ -157,14 +164,14 @@ class TestSumRuleCommonDenominator:
             assert not yb.sum_rule_check(f), f
 
     def test_negated_numerator_fails(self, monkeypatch):
-        real = yb._weight_parts
+        real = yb._box_factors
         target = {}
 
         def negated(shape):
-            num, hooks = real(shape)
-            return (-num if shape == target["shape"] else num), hooks
+            return (negate_first_factor(real(shape))
+                    if shape == target["shape"] else real(shape))
 
-        monkeypatch.setattr(yb, "_weight_parts", negated)
+        monkeypatch.setattr(yb, "_box_factors", negated)
         for f in range(1, 9):
             level = yb.bmw_level(f)
             target["shape"] = level[f % len(level)]
@@ -183,15 +190,17 @@ class TestSumRuleGroupedByHooks:
 
     def test_negated_conjugate_partner_fails(self, monkeypatch):
         # (3, 1) and (2, 1, 1) are conjugate, so they share a hook multiset
-        # and one group; negating one of them must still break the rule
-        real = yb._weight_parts
-        assert real((3, 1))[1] == real((2, 1, 1))[1]
+        # and the factor H(C - hooks); negating one of them must still break
+        # the rule
+        real = yb._box_factors
+        assert (sorted(h for _, h in real((3, 1)))
+                == sorted(h for _, h in real((2, 1, 1))))
 
         def negated(shape):
-            num, hooks = real(shape)
-            return (-num if shape == (3, 1) else num), hooks
+            return (negate_first_factor(real(shape)) if shape == (3, 1)
+                    else real(shape))
 
-        monkeypatch.setattr(yb, "_weight_parts", negated)
+        monkeypatch.setattr(yb, "_box_factors", negated)
         assert not yb.sum_rule_check(4)
 
 
@@ -202,6 +211,57 @@ def all_pairs_edges(graph):
         tuple((lo, hi) for lo in graph.levels[k] for hi in graph.levels[k + 1]
               if yb.differ_by_one_box(lo, hi))
         for k in range(graph.depth))
+
+
+def reference_one_box_smaller(shape):
+    """Oracle: the shapes one box smaller, by decrementing each row."""
+    out = []
+    for i in range(len(shape)):
+        nxt = shape[i + 1] if i + 1 < len(shape) else 0
+        if shape[i] - 1 >= nxt:
+            rows = list(shape)
+            rows[i] -= 1
+            if rows[-1] == 0:
+                rows.pop()
+            out.append(tuple(rows))
+    return out
+
+
+def reference_build_graph(depth, keep=None):
+    """Oracle: the graph built level by level from scratch on every call,
+    filtering each level with ``keep``, as before levels and edges were
+    shared between calls."""
+    levels = []
+    for k in range(depth + 1):
+        shapes = yb.bmw_level(k)
+        if keep is not None:
+            shapes = tuple(s for s in shapes if keep(s))
+        levels.append(shapes)
+    edges = []
+    counts = [{(): 1}]
+    for k in range(depth):
+        upper = levels[k + 1]
+        position = {s: idx for idx, s in enumerate(upper)}
+        gap = []
+        for lo in levels[k]:
+            found = sorted(position[s] for s in
+                           yb._one_box_larger(lo) + reference_one_box_smaller(lo)
+                           if s in position)
+            gap.extend((lo, upper[idx]) for idx in found)
+        edges.append(tuple(gap))
+        level_counts = {s: 0 for s in upper}
+        for lo, hi in gap:
+            level_counts[hi] += counts[k][lo]
+        counts.append(level_counts)
+    return yb.BratteliGraph(tuple(levels), tuple(edges), tuple(counts))
+
+
+def graph_and_reference(spec, depth):
+    """The generic graph (spec None) or the truncation, and its oracle."""
+    if spec is None:
+        return yb.generic_bratteli(depth), reference_build_graph(depth)
+    return (yb.truncated_bratteli(spec, depth), reference_build_graph(
+        depth, lambda s: yb.truncation_rule(s, spec.n)))
 
 
 def cross_multiplied_weights_equal(shape, n):
@@ -224,6 +284,27 @@ class TestNeighbourEdges:
                 for depth in range(0, 11):
                     graph = yb.truncated_bratteli(spec, depth)
                     assert graph.edges == all_pairs_edges(graph), (spec, depth)
+
+    def test_shared_levels_match_reference(self):
+        # every graph kind and depth, in an order that leaves the level
+        # caches partly filled by other kinds and deeper graphs
+        calls = [(spec, depth) for spec in (None, *(
+                     make(n) for n in (1, 2, 3)
+                     for make in (Specialization.osp, Specialization.so)))
+                 for depth in range(11)]
+        random.Random(20261018).shuffle(calls)
+        for spec, depth in calls:
+            got, want = graph_and_reference(spec, depth)
+            assert got == want, (spec, depth)
+
+    def test_path_counts_are_fresh(self):
+        # levels and edges are shared between calls, path counts are not
+        for spec in (None, Specialization.osp(1)):
+            graph, _ = graph_and_reference(spec, 5)
+            graph.path_counts[5][graph.levels[5][-1]] += 7
+            graph.path_counts[2].clear()
+            again, want = graph_and_reference(spec, 5)
+            assert again == want, spec
 
     def test_negative_depth_raises(self):
         with pytest.raises(ValueError):

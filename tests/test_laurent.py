@@ -432,6 +432,34 @@ def sides(draw):
     return lhs, rhs, one
 
 
+# factors of 1-4 terms take the shifted-copy path, of 5-6 terms the big-int
+# product; every product below mixes both
+few_one_var = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
+many_one_var = st.dictionaries(exps, coeffs, min_size=5, max_size=6)
+few_two_var = st.dictionaries(st.tuples(exps, exps), coeffs,
+                              min_size=1, max_size=4)
+many_two_var = st.dictionaries(st.tuples(exps, exps), coeffs,
+                               min_size=5, max_size=6)
+
+
+@st.composite
+def mixed_sides(draw):
+    """Two sums of products whose factors have both few and many terms;
+    half the time the right side is rewritten to equal the left."""
+    cls, few, many = draw(st.sampled_from(
+        [(LaurentPoly1, few_one_var, many_one_var),
+         (LaurentPoly2, few_two_var, many_two_var)]))
+    product = st.tuples(st.lists(few.map(cls), min_size=1, max_size=2),
+                        many.map(cls)).flatmap(
+        lambda parts: st.permutations(parts[0] + [parts[1]])).map(tuple)
+    side = st.lists(product, min_size=1, max_size=2)
+    lhs, rhs = draw(side), draw(side)
+    one = cls.const(1)
+    if draw(st.booleans()):
+        rhs = rhs + [(expand(lhs, one) - expand(rhs, one),)]
+    return lhs, rhs, one
+
+
 def byte_base_copy():
     """A copy of the helper with B = 2^8 whatever the coefficient bound."""
     source = inspect.getsource(laurent.sums_of_products_equal)
@@ -443,8 +471,8 @@ def byte_base_copy():
 
 
 class TestSumsOfProductsEqual:
-    @given(sides())
-    @settings(max_examples=200)
+    @given(st.one_of(sides(), mixed_sides()))
+    @settings(max_examples=300, deadline=None)
     def test_matches_expansion(self, case):
         lhs, rhs, one = case
         expected = expand(lhs, one) == expand(rhs, one)
