@@ -138,20 +138,19 @@ def _box_factors(shape: Shape) -> tuple[tuple[LaurentPoly2, int], ...]:
         hook = _hook(shape, conj, i, j)
         if i == j:
             # row + col - 2j + 1 of a diagonal box is its hook length
-            a = shape[i - 1] - conj[j - 1]
-            factor = LaurentPoly2({(1, a): 1, (-1, -a): -1,
-                                   (0, hook): 1, (0, -hook): -1})
+            factor = _gap(1, shape[i - 1] - conj[j - 1]) + _gap(0, hook)
         else:
-            d = _axial(shape, conj, i, j)
-            factor = LaurentPoly2({(1, d): 1, (-1, -d): -1})
+            factor = _gap(1, _axial(shape, conj, i, j))
         out.append((factor, hook))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _hook_gap(h: int) -> LaurentPoly2:
-    """s^h - s^-h, the denominator factor of a box with hook length h."""
-    return LaurentPoly2({(0, h): 1, (0, -h): -1})
+def _gap(k: int, e: int) -> LaurentPoly2:
+    """r^k s^e - r^-k s^-e, shared by every box that has it as a factor:
+    s^h - s^-h (k = 0) is the denominator factor of a box with hook length
+    h, r s^d - r^-1 s^-d (k = 1) the numerator of a box off the diagonal."""
+    return LaurentPoly2({(k, e): 1, (-k, -e): -1})
 
 
 def trace_weight(shape: Shape) -> Quotient:
@@ -162,7 +161,7 @@ def trace_weight(shape: Shape) -> Quotient:
     """
     num = den = ONE2
     for factor, hook in _box_factors(shape):
-        num, den = num * factor, den * _hook_gap(hook)
+        num, den = num * factor, den * _gap(0, hook)
     return Quotient(num, den)
 
 
@@ -257,11 +256,16 @@ def specialized_weight_nonzero(shape: Shape, spec: Specialization) -> bool:
 
 
 def _one_box_smaller(shape: Shape) -> list[Shape]:
-    """Shapes with one box taken from the end of a row; a row of one box
-    can only be the last and then goes away."""
-    return [shape[:i] + (shape[i] - 1,) * (shape[i] > 1) + shape[i + 1:]
-            for i in range(len(shape))
-            if i == len(shape) - 1 or shape[i] > shape[i + 1]]
+    out = []
+    for i in range(len(shape)):
+        nxt = shape[i + 1] if i + 1 < len(shape) else 0
+        if shape[i] - 1 >= nxt:
+            rows = list(shape)
+            rows[i] -= 1
+            if rows[-1] == 0:
+                rows.pop()
+            out.append(tuple(rows))
+    return out
 
 
 def _one_box_larger(shape: Shape) -> list[Shape]:
@@ -321,7 +325,7 @@ def sum_rule_check(f: int) -> bool:
     for multiset in hooks:
         common |= multiset
     products = [(LaurentPoly2.const(count), *(factor for factor, _ in boxes_),
-                 *map(_hook_gap, (common - multiset).elements()))
+                 *(_gap(0, h) for h in (common - multiset).elements()))
                 for (count, boxes_), multiset in zip(terms, hooks)]
     return sums_of_products_equal(products, [])
 
@@ -372,8 +376,8 @@ def specialized_weights_equal(shape: Shape, n: int) -> bool:
     lhs: list[LaurentPoly1] = []  # num_osp * den_so
     rhs: list[LaurentPoly1] = []  # num_so * den_osp
     for factor, hook in _box_factors(shape):
-        lhs += specialize(factor, osp), specialize(_hook_gap(hook), so)
-        rhs += specialize(factor, so), specialize(_hook_gap(hook), osp)
+        lhs += specialize(factor, osp), specialize(_gap(0, hook), so)
+        rhs += specialize(factor, so), specialize(_gap(0, hook), osp)
     return sums_of_products_equal([tuple(lhs)], [tuple(rhs)])
 
 

@@ -22,8 +22,8 @@ keys made its product kernel 1.3-1.6x slower.
 
 ``sums_of_products_equal`` decides exactly whether two sums of products
 of polynomials are equal without expanding them: it substitutes a power
-of two above every coefficient the difference can have, multiplies Python
-ints, few-term factors as sums of scaled, shifted copies, and compares.
+of two above every coefficient the difference can have, builds each
+product's Python int as sums of scaled, shifted copies, and compares.
 The Bratteli sum rule and the Lemma-2 weight check use it.
 
 All values are immutable; every operation returns a fresh value.
@@ -353,9 +353,9 @@ def sums_of_products_equal(lhs, rhs) -> bool:
     becomes s^W, with W above the s-span of the difference (the highest
     s-degree of any product minus the lowest), so distinct monomials
     r^a s^b of D go to distinct powers s^(W a + b).  Then s (or q) becomes
-    B.  Each factor is shifted to nonnegative exponents and multiplied into
-    its product's int v: by one big-int product, or, with at most four
-    terms c B^e, as the sum of the copies (v c) << (K e).  Each product is
+    B.  Each factor, shifted to nonnegative exponents as terms c B^e, is
+    multiplied into its product's int v as the sum of the scaled, shifted
+    copies (v c) << (K e), each linear in the size of v.  Each product is
     shifted back by the sum of its factors' shifts, less the smallest such
     sum, before the two sides' totals are compared.
 
@@ -398,11 +398,7 @@ def sums_of_products_equal(lhs, rhs) -> bool:
             terms = ({flat(k): c for k, c in f._terms.items()} if flat
                      else f._terms)
             lo = min(terms)
-            if len(terms) <= 4:  # shifted copies, each linear in value's size
-                value = sum(value * c << bits * (e - lo)
-                            for e, c in terms.items())
-            else:
-                value *= sum(c << bits * (e - lo) for e, c in terms.items())
+            value = sum(value * c << bits * (e - lo) for e, c in terms.items())
             shift += lo
         shifted.append((value, shift))
     base = min(shift for _, shift in shifted)

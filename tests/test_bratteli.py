@@ -183,6 +183,16 @@ class TestSumRuleCommonDenominator:
                 got, want = yb.trace_weight(shape), box_by_box_weight(shape)
                 assert got.num == want.num and got.den == want.den, shape
 
+    def test_equal_off_diagonal_factors_are_shared(self):
+        # the per-shape cache holds references to one r s^d - r^-1 s^-d
+        # per d, not a copy per box
+        first = {}
+        for size in range(0, 8):
+            for shape in yb.young_level(size):
+                for factor, _ in yb._box_factors(shape):
+                    if len(factor) == 2:
+                        assert first.setdefault(factor, factor) is factor, shape
+
 
 class TestSumRuleGroupedByHooks:
     def test_holds_at_9(self):
@@ -213,20 +223,6 @@ def all_pairs_edges(graph):
         for k in range(graph.depth))
 
 
-def reference_one_box_smaller(shape):
-    """Oracle: the shapes one box smaller, by decrementing each row."""
-    out = []
-    for i in range(len(shape)):
-        nxt = shape[i + 1] if i + 1 < len(shape) else 0
-        if shape[i] - 1 >= nxt:
-            rows = list(shape)
-            rows[i] -= 1
-            if rows[-1] == 0:
-                rows.pop()
-            out.append(tuple(rows))
-    return out
-
-
 def reference_build_graph(depth, keep=None):
     """Oracle: the graph built level by level from scratch on every call,
     filtering each level with ``keep``, as before levels and edges were
@@ -245,7 +241,7 @@ def reference_build_graph(depth, keep=None):
         gap = []
         for lo in levels[k]:
             found = sorted(position[s] for s in
-                           yb._one_box_larger(lo) + reference_one_box_smaller(lo)
+                           yb._one_box_larger(lo) + yb._one_box_smaller(lo)
                            if s in position)
             gap.extend((lo, upper[idx]) for idx in found)
         edges.append(tuple(gap))

@@ -432,8 +432,8 @@ def sides(draw):
     return lhs, rhs, one
 
 
-# factors of 1-4 terms take the shifted-copy path, of 5-6 terms the big-int
-# product; every product below mixes both
+# the Bratteli checks pass factors of 1-4 terms; every product below also
+# has one of 5-6 terms, so the shifted copies are tested on longer factors
 few_one_var = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
 many_one_var = st.dictionaries(exps, coeffs, min_size=5, max_size=6)
 few_two_var = st.dictionaries(st.tuples(exps, exps), coeffs,
