@@ -15,10 +15,11 @@ over-diagonal:
 
 The slot order fixes the two smoothings once and for all: the parallel
 smoothing joins slots (0,3) and (1,2), the cap smoothing joins (0,1) and
-(2,3).  Kink and poke removal delete crossings with the straight joins
-(0,2) and (1,3).  All three go through one contraction.  Geometric
-crossing signs and curl signs are derived from the same slot order, so
-every convention lives in this one module.
+(2,3).  ``reduce`` deletes kinks (Reidemeister I) and pokes (Reidemeister
+II bigons) in sweeps, joining each deleted crossing's slots straight, (0,2)
+and (1,3).  The smoothings and ``reduce`` go through one contraction.
+Geometric crossing signs and kink signs are derived from the same slot
+order, so every convention lives in this one module.
 """
 
 from __future__ import annotations
@@ -177,67 +178,44 @@ class PlanarDiagram:
                 self._contract((cid,), PAR_PAIRS),
                 self._contract((cid,), CAP_PAIRS))
 
-    def remove_curls(self) -> tuple[PlanarDiagram, int]:
-        """Delete every kink whose loop arc joins two adjacent slots of one
-        crossing; return the new diagram and the signed kink count.
+    def reduce(self, pokes: bool = True) -> tuple[PlanarDiagram, int]:
+        """Delete every kink and, if ``pokes``, every poke; return the
+        reduced diagram and the signed kink count.
 
-        A kink with loop arc on slots (a, a+1) has sign +1 exactly when slot
-        a lies on the over-diagonal.  Each sweep straightens every current
-        kink at once (kink moves on distinct crossings commute); sweeps
-        repeat while removals expose new kinks.
+        Let ``n`` be the next slot after half-edge ``h`` on its crossing.  A
+        kink is an arc from ``h`` to ``n``, of sign +1 exactly when ``h``
+        lies on the over-diagonal.  A poke is a bigon on two crossings: ``h``
+        meets ``h2`` on another crossing and ``n`` meets the slot before
+        ``h2``, and the strand through ``h`` and ``h2`` is over at both or
+        under at both.  Undoing a poke never changes the diagram value.
+
+        Each sweep deletes every kink and a greedy set of pokes, skipping
+        crossings that already hold a found move, in one contraction (moves
+        on distinct crossings commute); sweeps repeat until one finds
+        nothing.
         """
-        diagram, total = self, 0
+        diagram, kink_sum = self, 0
         while True:
-            kinks = []
-            for cid, over in diagram.crossings.items():
-                for a in range(4):
-                    if diagram.arcs[4 * cid + a] == 4 * cid + (a + 1) % 4:
-                        kinks.append(cid)
-                        total += 1 if a % 2 == over else -1
-                        break
-            if not kinks:
-                return diagram, total
-            diagram = diagram._contract(kinks, STRAIGHT_PAIRS)
-
-    def remove_poke(self) -> PlanarDiagram | None:
-        """Undo one poke (two distinct crossings joined by two arcs on
-        adjacent slot pairs, the same strand over at both), or None.
-
-        The pattern: arcs (c.a, d.b) and (c.a+1, d.b-1); the strand running
-        through slot a of c and slot b of d must be the over strand at both
-        crossings or the under strand at both.  Splicing such a pair never
-        changes the diagram value; the engine applies it by default, and
-        equivalence tests check it against the engine without it.
-        """
-        links: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for h, h2 in self.arcs.items():
-            if h >= h2:
-                continue
-            c1, s1 = divmod(h, 4)
-            c2, s2 = divmod(h2, 4)
-            if c1 == c2:
-                continue
-            if c1 > c2:
-                c1, s1, c2, s2 = c2, s2, c1, s1
-            links.setdefault((c1, c2), []).append((s1, s2))
-        for (ca, cb), pairs in sorted(links.items()):
-            if len(pairs) < 2:
-                continue
-            for idx1 in range(len(pairs)):
-                for idx2 in range(idx1 + 1, len(pairs)):
-                    (u, v), (u2, v2) = pairs[idx1], pairs[idx2]
-                    if (u2 - u) % 4 == 1 and (v - v2) % 4 == 1:
-                        a_slot, b_slot = u, v
-                    elif (u - u2) % 4 == 1 and (v2 - v) % 4 == 1:
-                        a_slot, b_slot = u2, v2
-                    else:
-                        continue
-                    over_a = a_slot % 2 == self.crossings[ca]
-                    over_b = b_slot % 2 == self.crossings[cb]
-                    if over_a != over_b:
-                        continue
-                    return self._contract((ca, cb), STRAIGHT_PAIRS)
-        return None
+            arcs, crossings = diagram.arcs, diagram.crossings
+            gone: set[int] = set()
+            for h, h2 in arcs.items():
+                c = h // 4
+                if c in gone:
+                    continue
+                n = 4 * c + (h + 1) % 4
+                over = h % 2 == crossings[c]
+                if h2 == n:
+                    gone.add(c)
+                    kink_sum += 1 if over else -1
+                elif pokes:
+                    d = h2 // 4
+                    if (d != c and d not in gone
+                            and arcs[n] == 4 * d + (h2 - 1) % 4
+                            and over == (h2 % 2 == crossings[d])):
+                        gone.update((c, d))
+            if not gone:
+                return diagram, kink_sum
+            diagram = diagram._contract(gone, STRAIGHT_PAIRS)
 
     # -- decomposition ---------------------------------------------------------
 

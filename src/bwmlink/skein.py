@@ -7,10 +7,14 @@ The regular-isotopy value of a diagram satisfies
 * value(D+) - value(D-)            = (s - s^-1) * (value(par) - value(cap)),
 * fully descending diagram         = r^writhe * x^(components - 1),
 
-and disjoint pieces multiply with one extra factor of x per split.  The
-engine resolves the first non-descending crossing of the deterministic
-strand walk, which terminates because smoothing drops a crossing and
-switching strictly extends the descending prefix.
+and disjoint pieces multiply with one extra factor of x per split.  Each
+diagram is first reduced: ``PlanarDiagram.reduce`` removes its kinks, for
+r^(kink sum), and its pokes (Reidemeister II bigons, which keep the value).
+Kinks and pokes lie inside one connected part, so every part of a reduced
+diagram is reduced too.  The engine then resolves the first
+non-descending crossing of the deterministic strand walk, which terminates
+because smoothing drops a crossing and switching strictly extends the
+descending prefix.
 
 As x = X_NUM / delta, delta = s - s^-1, a diagram with c components (free
 loops included) has value N / delta^(c-1).  The recursion carries (N, c)
@@ -34,9 +38,9 @@ class SkeinEngine:
     pair of the module docstring, and with poke (Reidemeister II) reduction
     before each resolution.
 
-    Each connected part first loses its kinks (and pokes); a part that
-    loses crossings recurses on what is left, unkeyed.  So the table holds
-    only reduced parts, the ones that reach ``traverse`` and ``resolve``.
+    Each diagram is reduced once, before it splits into connected parts, so
+    every part is free of kinks (and pokes).  The table holds those parts,
+    the ones that reach ``traverse`` and ``resolve``.
     Values for equal keys are necessarily equal, so sharing the table across
     evaluations (or threads) is harmless.  Both are on by default, as
     measured on the torus corpus T(2, m), 0 < |m| <= 24, and B3 (1 2)^k,
@@ -62,6 +66,7 @@ class SkeinEngine:
 
     def _value(self, diagram: PlanarDiagram) -> tuple[LaurentPoly2, int]:
         """The diagram's (N, c) pair: value = N / delta^(c-1)."""
+        diagram, kink_sum = diagram.reduce(self._poke)
         parts = diagram.connected_parts()
         split = diagram.free_loops + len(parts) - 1
         if split < 0:
@@ -73,20 +78,9 @@ class SkeinEngine:
             # X_NUM^0 = 1: the first part's numerator is taken as it is
             num = num * part_num if split or i else part_num
             c += part_c
-        return num, c
+        return (r_pow(kink_sum) * num if kink_sum else num), c
 
     def _connected(self, part: PlanarDiagram) -> tuple[LaurentPoly2, int]:
-        uncurled, kink_sum = part.remove_curls()
-        if self._poke:
-            while True:
-                poked = uncurled.remove_poke()
-                if poked is None:
-                    break
-                uncurled, more = poked.remove_curls()
-                kink_sum += more
-        if uncurled.crossing_count < part.crossing_count:
-            num, c = self._value(uncurled)
-            return r_pow(kink_sum) * num, c
         key = None
         if self._cache is not None:
             key = part.canonical_key()

@@ -25,7 +25,7 @@ def relabeled(d: PlanarDiagram, seed: int) -> PlanarDiagram:
 
 def reference_remove_curls(d: PlanarDiagram) -> tuple[PlanarDiagram, int]:
     """One kink at a time, in sorted crossing order, with its own arc
-    splice: the single contraction's remove_curls must agree with it."""
+    splice: the sweeps of reduce(pokes=False) must agree with it."""
     diagram = d
     total = 0
     while True:
@@ -112,7 +112,7 @@ class TestResolve:
         d = closure_diagram(parse_braid("B2: 1 1"))
         _, _, cap = d.resolve(0)
         assert cap.crossing_count == 1 and cap.free_loops == 0
-        reduced, kinks = cap.remove_curls()
+        reduced, kinks = cap.reduce(pokes=False)
         assert kinks == -1
         assert reduced.crossing_count == 0 and reduced.free_loops == 1
 
@@ -149,7 +149,7 @@ class TestResolve:
 class TestRemoveCurls:
     def test_positive_kink(self):
         d = closure_diagram(parse_braid("B2: 1"))
-        reduced, kinks = d.remove_curls()
+        reduced, kinks = d.reduce(pokes=False)
         assert kinks == 1
         assert reduced.crossing_count == 0 and reduced.free_loops == 1
 
@@ -158,34 +158,41 @@ class TestRemoveCurls:
         d = closure_diagram(parse_braid("B2: -1"))
         assert d.arcs[1] == 2
         assert d.arcs[3] == 0
-        reduced, kinks = d.remove_curls()
+        reduced, kinks = d.reduce(pokes=False)
         assert kinks == -1
         assert reduced.crossing_count == 0 and reduced.free_loops == 1
 
     def test_no_crossings_untouched(self):
         d = closure_diagram(parse_braid("B3:"))
-        reduced, kinks = d.remove_curls()
+        reduced, kinks = d.reduce(pokes=False)
         assert kinks == 0 and reduced == d
 
     def test_kink_then_poke(self):
         # the first letter closes into a kink; the cancelling pair that
-        # remains is a poke, not a kink, and stays for the skein recursion
+        # remains is a poke, not a kink, and stays without poke removal
         d = closure_diagram(parse_braid("B3: 1 2 -2"))
-        reduced, kinks = d.remove_curls()
+        reduced, kinks = d.reduce(pokes=False)
         assert kinks == 1
         assert reduced.crossing_count == 2
+
+    def test_kink_and_poke(self):
+        # with poke removal the cancelling pair goes too: r times two loops
+        d = closure_diagram(parse_braid("B3: 1 2 -2"))
+        reduced, kinks = d.reduce()
+        assert kinks == 1
+        assert reduced.crossing_count == 0 and reduced.free_loops == 2
 
     def test_cascading_kinks(self):
         # each stabilization letter closes into its own kink once the one
         # above it is gone
         d = closure_diagram(parse_braid("B3: 1 2"))
-        reduced, kinks = d.remove_curls()
+        reduced, kinks = d.reduce(pokes=False)
         assert kinks == 2
         assert reduced.crossing_count == 0 and reduced.free_loops == 1
 
     def test_hopf_has_no_kinks(self):
         d = closure_diagram(parse_braid("B2: 1 1"))
-        reduced, kinks = d.remove_curls()
+        reduced, kinks = d.reduce(pokes=False)
         assert kinks == 0 and reduced.crossing_count == 2
 
 
@@ -232,32 +239,45 @@ class TestSingleContraction:
                 child.validate()
             diagrams.extend(children)
         for diagram in diagrams:
-            reduced, kinks = diagram.remove_curls()
+            reduced, kinks = diagram.reduce(pokes=False)
             reduced.validate()
             expected, expected_kinks = reference_remove_curls(diagram)
             assert kinks == expected_kinks
             assert reduced == expected
-            poked = diagram.remove_poke()
-            if poked is not None:
-                poked.validate()
-                assert poked.crossing_count == diagram.crossing_count - 2
+            poked, _ = diagram.reduce()
+            poked.validate()
+            assert poked.reduce() == (poked, 0)
             for part in diagram.connected_parts():
                 part.validate()
 
-    def test_independent_kinks_in_one_sweep(self, monkeypatch):
-        d = closure_diagram(parse_braid("B4: 1 3"))
+    @staticmethod
+    def recorded_contractions(monkeypatch) -> list[set[int]]:
         calls = []
         contract = PlanarDiagram._contract
 
         def counted(self, cids, pairs):
-            calls.append(tuple(cids))
+            calls.append(set(cids))
             return contract(self, cids, pairs)
 
         monkeypatch.setattr(PlanarDiagram, "_contract", counted)
-        reduced, kinks = d.remove_curls()
-        assert calls == [(0, 1)]
+        return calls
+
+    def test_independent_kinks_in_one_sweep(self, monkeypatch):
+        d = closure_diagram(parse_braid("B4: 1 3"))
+        calls = self.recorded_contractions(monkeypatch)
+        reduced, kinks = d.reduce(pokes=False)
+        assert calls == [{0, 1}]
         assert kinks == 2
         assert reduced.crossing_count == 0 and reduced.free_loops == 2
+
+    def test_kink_and_poke_in_one_sweep(self, monkeypatch):
+        # a kink on strands 1-2 and a cancelling pair on strands 3-4
+        d = closure_diagram(parse_braid("B4: 1 3 -3"))
+        calls = self.recorded_contractions(monkeypatch)
+        reduced, kinks = d.reduce()
+        assert calls == [{0, 1, 2}]
+        assert kinks == 1
+        assert reduced.crossing_count == 0 and reduced.free_loops == 3
 
 
 class TestTraversal:

@@ -195,8 +195,7 @@ class TestCacheKeys:
     @staticmethod
     def assert_reduced(keyed):
         for part in keyed:
-            assert part.remove_curls()[0].crossing_count == part.crossing_count
-            assert part.remove_poke() is None
+            assert part.reduce() == (part, 0)
 
     @given(st.lists(small_words(max_strands=4, max_len=7), min_size=1,
                     max_size=3))
@@ -220,9 +219,10 @@ class TestCacheKeys:
     def test_without_pokes_keyed_parts_are_kink_free(self):
         d = closure_diagram(parse_braid("B3: 1 2 -2 -1 1 2 1"))
         keyed = self.keyed_parts(SkeinEngine(use_poke_reduction=False), [d])
-        assert any(part.remove_poke() is not None for part in keyed)
+        assert any(part.reduce()[0].crossing_count < part.crossing_count
+                   for part in keyed)
         for part in keyed:
-            assert part.remove_curls()[0].crossing_count == part.crossing_count
+            assert part.reduce(pokes=False) == (part, 0)
 
 
 def invert_vars(v: LocalizedPoly) -> LocalizedPoly:
@@ -323,12 +323,9 @@ def reference_value(diagram) -> LocalizedPoly:
 
 
 def _reference_connected(part) -> LocalizedPoly:
-    uncurled, kink_sum = part.remove_curls()
-    while (poked := uncurled.remove_poke()) is not None:
-        uncurled, more = poked.remove_curls()
-        kink_sum += more
-    if kink_sum or uncurled.crossing_count < part.crossing_count:
-        return r_pow(kink_sum) * reference_value(uncurled)
+    reduced, kink_sum = part.reduce()
+    if reduced.crossing_count < part.crossing_count:
+        return r_pow(kink_sum) * reference_value(reduced)
     walk = part.traverse()
     if walk.switch_candidate is None:
         return r_pow(walk.writhe) * X ** (walk.components - 1)
@@ -373,12 +370,13 @@ class TestNumerators:
 class TestPokeReduction:
     def test_cancelling_pair_reduces(self):
         d = closure_diagram(parse_braid("B2: 1 -1"))
-        poked = d.remove_poke()
-        assert poked is not None
+        poked, kinks = d.reduce()
+        assert kinks == 0
         assert poked.crossing_count == 0 and poked.free_loops == 2
 
     def test_hopf_does_not_reduce(self):
-        assert closure_diagram(parse_braid("B2: 1 1")).remove_poke() is None
+        d = closure_diagram(parse_braid("B2: 1 1"))
+        assert d.reduce() == (d, 0)
 
     def test_on_by_default(self):
         assert SkeinEngine()._poke is True
@@ -386,11 +384,39 @@ class TestPokeReduction:
     @given(small_words(max_strands=4, max_len=7))
     @settings(max_examples=25, deadline=None)
     def test_value_preserving(self, w):
-        # on the unreduced closure, so cancelling pairs reach remove_poke
+        # on the unreduced closure, so cancelling pairs reach reduce
         d = closure_diagram(w)
         plain = SkeinEngine(use_poke_reduction=False)
         reducing = SkeinEngine(use_poke_reduction=True)
         assert plain.regular_isotopy_poly(d) == reducing.regular_isotopy_poly(d)
+
+
+class TestReduction:
+    """Each ``_value`` reduces its diagram once and multiplies in r to the
+    kink sum; the parts it splits off are not reduced again."""
+
+    def test_one_reduction_per_value(self, monkeypatch):
+        calls = {"reduce": 0, "connected_parts": 0}
+        for name in calls:
+            def counted(self, *args, _name=name,
+                        _original=getattr(PlanarDiagram, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(PlanarDiagram, name, counted)
+        SkeinEngine().kauffman_polynomial(parse_braid("B4: 1 2 3 1 2 3"))
+        assert calls["reduce"] == calls["connected_parts"] > 1
+
+    @given(small_words(max_strands=4, max_len=7))
+    @settings(max_examples=25, deadline=None)
+    def test_kink_sum_is_the_power_of_r(self, w):
+        # the closure and every child of resolving each of its crossings
+        plain = SkeinEngine(use_poke_reduction=False)
+        d = closure_diagram(w)
+        for diagram in [d] + [child for cid in d.crossings
+                              for child in d.resolve(cid)]:
+            reduced, k = diagram.reduce()
+            assert (plain.regular_isotopy_poly(diagram)
+                    == r_pow(k) * plain.regular_isotopy_poly(reduced))
 
 
 class TestSpecializedInvariants:
