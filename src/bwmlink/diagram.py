@@ -16,8 +16,11 @@ over-diagonal:
 The slot order fixes the two smoothings once and for all: the parallel
 smoothing joins slots (0,3) and (1,2), the cap smoothing joins (0,1) and
 (2,3).  ``reduce`` deletes kinks (Reidemeister I) and pokes (Reidemeister
-II bigons) in sweeps, joining each deleted crossing's slots straight, (0,2)
-and (1,3).  The smoothings and ``reduce`` go through one contraction.
+II bigons) from a worklist of crossings, joining each deleted crossing's
+slots straight, (0,2) and (1,3), and rechecking only the crossings at the
+ends of the arcs a deletion made.  The smoothings and ``reduce`` delete
+crossings through one in-place splice of an arc dict, ``_splice``; no
+diagram's own dicts are ever changed, so diagrams may share them.
 Geometric crossing signs and kink signs are derived from the same slot
 order, so every convention lives in this one module.
 """
@@ -134,51 +137,29 @@ class PlanarDiagram:
         crossings[cid] = 1 - crossings[cid]
         return PlanarDiagram(crossings, self.arcs, self.free_loops)
 
-    def _contract(self, cids: Iterable[int], pairs) -> PlanarDiagram:
-        """Delete the crossings ``cids``, joining the slots of each as
-        ``pairs`` says; the only move that removes crossings.
-
-        Each half-edge left behind is wired to the far end of its chain of
-        join and arc hops, and each chain that closes up inside the deleted
-        crossings becomes one free loop.
-        """
-        removed = set(cids)
-        join: dict[int, int] = {}
-        for cid in removed:
-            for i, j in pairs:
-                join[4 * cid + i] = 4 * cid + j
-                join[4 * cid + j] = 4 * cid + i
-        arcs = self.arcs
-        new_arcs: dict[int, int] = {}
-        on_chain: set[int] = set()
-        for a, b in arcs.items():
-            if a in join or a in new_arcs:
-                continue
-            while b in join:
-                on_chain.update((b, join[b]))
-                b = arcs[join[b]]
-            new_arcs[a] = b
-            new_arcs[b] = a
-        loops = 0
-        for h in join:
-            if h not in on_chain:
-                loops += 1
-                while h not in on_chain:  # mark the closed chain through h
-                    on_chain.update((h, join[h]))
-                    h = arcs[join[h]]
-        crossings = {cid: over for cid, over in self.crossings.items()
-                     if cid not in removed}
-        return PlanarDiagram(crossings, new_arcs, self.free_loops + loops)
+    def _contract(self, cid: int, pairs) -> PlanarDiagram:
+        """Delete crossing ``cid``, joining its slots as ``pairs`` says."""
+        arcs = dict(self.arcs)
+        loops, _ = _splice(arcs, (cid,), pairs)
+        crossings = dict(self.crossings)
+        del crossings[cid]
+        return PlanarDiagram(crossings, arcs, self.free_loops + loops)
 
     def resolve(self, cid: int) -> tuple[PlanarDiagram, PlanarDiagram, PlanarDiagram]:
         """Return (switched, parallel smoothing, cap smoothing) at a crossing."""
         if cid not in self.crossings:
             raise KeyError(f"crossing {cid} not in diagram")
         return (self.with_switched(cid),
-                self._contract((cid,), PAR_PAIRS),
-                self._contract((cid,), CAP_PAIRS))
+                self._contract(cid, PAR_PAIRS),
+                self._contract(cid, CAP_PAIRS))
 
-    def reduce(self, pokes: bool = True) -> tuple[PlanarDiagram, int]:
+    def neighbours(self, cid: int) -> set[int]:
+        """The other crossings that share an arc with crossing ``cid``."""
+        arcs = self.arcs
+        return {arcs[h] // 4 for h in range(4 * cid, 4 * cid + 4)} - {cid}
+
+    def reduce(self, pokes: bool = True,
+               near: Iterable[int] | None = None) -> tuple[PlanarDiagram, int]:
         """Delete every kink and, if ``pokes``, every poke; return the
         reduced diagram and the signed kink count.
 
@@ -187,35 +168,51 @@ class PlanarDiagram:
         lies on the over-diagonal.  A poke is a bigon on two crossings: ``h``
         meets ``h2`` on another crossing and ``n`` meets the slot before
         ``h2``, and the strand through ``h`` and ``h2`` is over at both or
-        under at both.  Undoing a poke never changes the diagram value.
+        under at both; the test finds it from either crossing.  Undoing a
+        poke never changes the diagram value.
 
-        Each sweep deletes every kink and a greedy set of pokes, skipping
-        crossings that already hold a found move, in one contraction (moves
-        on distinct crossings commute); sweeps repeat until one finds
-        nothing.
+        The crossings ``near`` (default: all) start a worklist.  Each popped
+        crossing that still exists is tested; a found move is spliced out of
+        a private copy of the dicts, taken at the first move, and the
+        crossings at the ends of the arcs it made are pushed, since any new
+        move uses such an arc.  So ``near`` must hold a crossing of every
+        move in the diagram.  With no move found, ``self`` is returned.
         """
-        diagram, kink_sum = self, 0
-        while True:
-            arcs, crossings = diagram.arcs, diagram.crossings
-            gone: set[int] = set()
-            for h, h2 in arcs.items():
-                c = h // 4
-                if c in gone:
-                    continue
+        crossings, arcs = self.crossings, self.arcs
+        todo = list(crossings if near is None else near)
+        kink_sum = loops = 0
+        copied = False
+        while todo:
+            c = todo.pop()
+            if c not in crossings:
+                continue
+            gone: tuple[int, ...] = ()
+            for h in range(4 * c, 4 * c + 4):
+                h2 = arcs[h]
                 n = 4 * c + (h + 1) % 4
                 over = h % 2 == crossings[c]
                 if h2 == n:
-                    gone.add(c)
+                    gone = (c,)
                     kink_sum += 1 if over else -1
-                elif pokes:
+                    break
+                if pokes:
                     d = h2 // 4
-                    if (d != c and d not in gone
-                            and arcs[n] == 4 * d + (h2 - 1) % 4
+                    if (d != c and arcs[n] == 4 * d + (h2 - 1) % 4
                             and over == (h2 % 2 == crossings[d])):
-                        gone.update((c, d))
+                        gone = (c, d)
+                        break
             if not gone:
-                return diagram, kink_sum
-            diagram = diagram._contract(gone, STRAIGHT_PAIRS)
+                continue
+            if not copied:
+                crossings, arcs, copied = dict(crossings), dict(arcs), True
+            for g in gone:
+                del crossings[g]
+            closed, ends = _splice(arcs, gone, STRAIGHT_PAIRS)
+            loops += closed
+            todo.extend(h // 4 for h in ends)
+        if not copied:
+            return self, 0
+        return PlanarDiagram(crossings, arcs, self.free_loops + loops), kink_sum
 
     # -- decomposition ---------------------------------------------------------
 
@@ -223,7 +220,8 @@ class PlanarDiagram:
         """Split the crossing graph along arcs into connected sub-diagrams.
 
         Free loops stay with the caller: every part is returned with
-        free_loops = 0.
+        free_loops = 0.  A diagram that is one part shares its dicts with
+        that part, and is itself the part when it has no free loops.
         """
         remaining = set(self.crossings)
         parts: list[PlanarDiagram] = []
@@ -239,6 +237,9 @@ class PlanarDiagram:
                         group.add(nid)
                         frontier.append(nid)
             remaining -= group
+            if not parts and not remaining:
+                return [self if not self.free_loops
+                        else PlanarDiagram(self.crossings, self.arcs, 0)]
             crossings = {cid: self.crossings[cid] for cid in sorted(group)}
             arcs = {a: b for a, b in self.arcs.items() if a // 4 in group}
             parts.append(PlanarDiagram(crossings, arcs, 0))
@@ -306,3 +307,41 @@ class PlanarDiagram:
             key = " ".join(map(str, self.canonical_key()))
             lines.append(f"key {key}")
         return "\n".join(lines)
+
+
+def _splice(arcs: dict[int, int], cids: Iterable[int],
+            pairs) -> tuple[int, list[int]]:
+    """Delete the crossings ``cids`` from ``arcs`` in place, joining the
+    slots of each as ``pairs`` says; the only code that deletes crossings.
+
+    Only the deleted half-edges and the arcs that leave them are touched.
+    Each outside half-edge whose arc led in is wired to the far end of its
+    chain of join and arc hops; each chain that closes up inside the deleted
+    crossings is one free loop.  Returns the number of such loops and the
+    ends of the new arcs.
+    """
+    join: dict[int, int] = {}
+    for cid in cids:
+        for i, j in pairs:
+            join[4 * cid + i] = 4 * cid + j
+            join[4 * cid + j] = 4 * cid + i
+    ends: list[int] = []
+    for h in join:
+        a = arcs.get(h)
+        if a is None or a in join:  # spliced already, or inside the chain
+            continue
+        b = h
+        while b in join:
+            del arcs[b]
+            b = arcs.pop(join[b])
+        arcs[a] = b
+        arcs[b] = a
+        ends += (a, b)
+    loops = 0
+    for h in join:
+        if h in arcs:  # left on a chain closed inside the deleted crossings
+            loops += 1
+            while h in arcs:
+                del arcs[h]
+                h = arcs.pop(join[h])
+    return loops, ends

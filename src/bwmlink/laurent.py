@@ -35,12 +35,13 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
-def _power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, starting from ``one``."""
-    out = one
+def _power(base, n: int):
+    """base ** n for n >= 1 by square-and-multiply; the first factor is
+    taken as it is, not multiplied into a one."""
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
@@ -146,7 +147,7 @@ class _Laurent:
                     key = self._key(tuple(e * n for e in self._exps(k)))
                     return self._make({key: c ** (n & 1 or 2)})
             raise ValueError("negative powers only for unit monomials")
-        return _power(self, n, self.const(1))
+        return _power(self, n) if n else self.const(1)
 
     def flip_vars(self):
         """The value with every variable negated: each term picks up
@@ -525,7 +526,7 @@ class LocalizedPoly:
     def __pow__(self, n: int) -> LocalizedPoly:
         if n < 0:
             raise ValueError("negative powers not defined in the localized ring")
-        return _power(self, n, LocalizedPoly.from_poly(1))
+        return _power(self, n) if n else LocalizedPoly.from_poly(1)
 
     def flip_vars(self) -> LocalizedPoly:
         """Value at (-r, -s); the denominator flip contributes (-1)^k.

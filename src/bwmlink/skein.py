@@ -14,7 +14,8 @@ Kinks and pokes lie inside one connected part, so every part of a reduced
 diagram is reduced too.  The engine then resolves the first
 non-descending crossing of the deterministic strand walk, which terminates
 because smoothing drops a crossing and switching strictly extends the
-descending prefix.
+descending prefix.  A child of a reduced part can only hold moves that
+touch the resolved crossing's neighbours, so its reduction starts there.
 
 As x = X_NUM / delta, delta = s - s^-1, a diagram with c components (free
 loops included) has value N / delta^(c-1).  The recursion carries (N, c)
@@ -40,7 +41,10 @@ class SkeinEngine:
 
     Each diagram is reduced once, before it splits into connected parts, so
     every part is free of kinks (and pokes).  The table holds those parts,
-    the ones that reach ``traverse`` and ``resolve``.
+    the ones that reach ``traverse`` and ``resolve``.  A resolution changes
+    the arcs or the over bit at one crossing only, so each child's
+    reduction tests just that crossing's neighbours and what its own
+    deletions reach: O(change), not O(diagram), per node.
     Values for equal keys are necessarily equal, so sharing the table across
     evaluations (or threads) is harmless.  Both are on by default, as
     measured on the torus corpus T(2, m), 0 < |m| <= 24, and B3 (1 2)^k,
@@ -64,9 +68,11 @@ class SkeinEngine:
         num, c = self._value(diagram)
         return LocalizedPoly(num, c - 1)
 
-    def _value(self, diagram: PlanarDiagram) -> tuple[LaurentPoly2, int]:
-        """The diagram's (N, c) pair: value = N / delta^(c-1)."""
-        diagram, kink_sum = diagram.reduce(self._poke)
+    def _value(self, diagram: PlanarDiagram,
+               near: set[int] | None = None) -> tuple[LaurentPoly2, int]:
+        """The diagram's (N, c) pair: value = N / delta^(c-1).  ``near``
+        holds a crossing of every kink or poke, as ``reduce`` needs."""
+        diagram, kink_sum = diagram.reduce(self._poke, near)
         parts = diagram.connected_parts()
         split = diagram.free_loops + len(parts) - 1
         if split < 0:
@@ -92,11 +98,13 @@ class SkeinEngine:
         if walk.switch_candidate is None:
             num = r_pow(walk.writhe) * X_NUM ** (c - 1)
         else:
-            switched, par, cap = part.resolve(walk.switch_candidate)
-            state = 1 if part.crossings[walk.switch_candidate] == 1 else -1
-            correction = (_lift(*self._value(par), c)
-                          - _lift(*self._value(cap), c))
-            num = self._value(switched)[0] + state * correction
+            x = walk.switch_candidate
+            switched, par, cap = part.resolve(x)
+            near = part.neighbours(x)
+            state = 1 if part.crossings[x] == 1 else -1
+            correction = (_lift(*self._value(par, near), c)
+                          - _lift(*self._value(cap, near), c))
+            num = self._value(switched, near)[0] + state * correction
         value = (num, c)
         if self._cache is not None:
             self._cache[key] = value

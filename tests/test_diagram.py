@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bwmlink import diagram as diagram_module
 from bwmlink.braid import BraidWord, closure_diagram, parse_braid
 from bwmlink.diagram import PlanarDiagram
 from bwmlink.skein import SkeinEngine
@@ -251,33 +252,84 @@ class TestSingleContraction:
                 part.validate()
 
     @staticmethod
-    def recorded_contractions(monkeypatch) -> list[set[int]]:
+    def recorded_splices(monkeypatch) -> list[set[int]]:
         calls = []
-        contract = PlanarDiagram._contract
+        splice = diagram_module._splice
 
-        def counted(self, cids, pairs):
+        def counted(arcs, cids, pairs):
             calls.append(set(cids))
-            return contract(self, cids, pairs)
+            return splice(arcs, cids, pairs)
 
-        monkeypatch.setattr(PlanarDiagram, "_contract", counted)
+        monkeypatch.setattr(diagram_module, "_splice", counted)
         return calls
 
-    def test_independent_kinks_in_one_sweep(self, monkeypatch):
+    def test_independent_kinks(self, monkeypatch):
         d = closure_diagram(parse_braid("B4: 1 3"))
-        calls = self.recorded_contractions(monkeypatch)
+        calls = self.recorded_splices(monkeypatch)
         reduced, kinks = d.reduce(pokes=False)
-        assert calls == [{0, 1}]
+        assert sorted(calls, key=min) == [{0}, {1}]
         assert kinks == 2
         assert reduced.crossing_count == 0 and reduced.free_loops == 2
 
-    def test_kink_and_poke_in_one_sweep(self, monkeypatch):
+    def test_kink_and_poke(self, monkeypatch):
         # a kink on strands 1-2 and a cancelling pair on strands 3-4
         d = closure_diagram(parse_braid("B4: 1 3 -3"))
-        calls = self.recorded_contractions(monkeypatch)
+        calls = self.recorded_splices(monkeypatch)
         reduced, kinks = d.reduce()
-        assert calls == [{0, 1, 2}]
+        assert sorted(calls, key=min) == [{0}, {1, 2}]
         assert kinks == 1
         assert reduced.crossing_count == 0 and reduced.free_loops == 3
+
+    def test_nothing_to_reduce_returns_self(self, monkeypatch):
+        d = closure_diagram(parse_braid("B3: 1 -2 1 -2"))
+        calls = self.recorded_splices(monkeypatch)
+        for near in (None, set(d.crossings), ()):
+            reduced, kinks = d.reduce(near=near)
+            assert reduced is d and kinks == 0
+        assert calls == []
+
+    def test_splice_leaves_the_parent_alone(self):
+        # with_switched shares its parent's arcs, so no move may change them
+        d = closure_diagram(parse_braid("B3: 1 2 -2 1"))
+        before = (dict(d.crossings), dict(d.arcs))
+        switched = d.with_switched(0)
+        for child in (switched, *d.resolve(1)):
+            child.reduce()
+        assert (d.crossings, d.arcs) == before
+        assert switched.arcs is d.arcs
+
+    def test_torus_cap_child_kink_chain(self, monkeypatch):
+        # the cap smoothing of T(2, 60) is a chain of 59 kinks: the worklist
+        # takes it one crossing per splice, each new arc's ends next
+        d = closure_diagram(parse_braid("B2: 1^60"))
+        cap = d.resolve(0)[2]
+        calls = self.recorded_splices(monkeypatch)
+        reduced, kinks = cap.reduce(near=d.neighbours(0))
+        assert len(calls) == 59 and all(len(c) == 1 for c in calls)
+        assert kinks == -59
+        assert reduced.crossing_count == 0 and reduced.free_loops == 1
+
+
+class TestReduceNearResolution:
+    """A child of a reduced diagram only holds moves at the resolved
+    crossing's neighbours, so reducing from them reduces fully."""
+
+    @given(small_words(max_len=8))
+    @settings(max_examples=80, deadline=None)
+    def test_children_reduce_from_neighbours(self, w):
+        for pokes in (True, False):
+            engine = SkeinEngine(use_poke_reduction=pokes)
+            d, _ = closure_diagram(w).reduce(pokes)
+            for cid in sorted(d.crossings):
+                near = d.neighbours(cid)
+                for child in d.resolve(cid):
+                    reduced, kinks = child.reduce(pokes, near=near)
+                    reduced.validate()
+                    assert reduced.reduce(pokes) == (reduced, 0)
+                    full, full_kinks = child.reduce(pokes)
+                    assert kinks == full_kinks
+                    assert (engine.regular_isotopy_poly(reduced)
+                            == engine.regular_isotopy_poly(full))
 
 
 class TestTraversal:

@@ -319,6 +319,23 @@ class TestPower:
         v = loop_value() ** 5
         assert v.k == 5 and v.num == X_NUM**5
 
+    def test_no_product_with_one(self, monkeypatch):
+        # the first factor is taken as it is: base**n costs one squaring
+        # per bit after the first and one product per further set bit
+        calls = []
+        mul = LaurentPoly2.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly2, "__mul__", counted)
+        for n in range(1, 10):
+            calls.clear()
+            DELTA**n
+            assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
+        assert X_NUM**1 is X_NUM
+
 
 class TestFlipVars:
     def test_even_monomial(self):

@@ -399,9 +399,9 @@ class TestReduction:
         calls = {"reduce": 0, "connected_parts": 0}
         for name in calls:
             def counted(self, *args, _name=name,
-                        _original=getattr(PlanarDiagram, name)):
+                        _original=getattr(PlanarDiagram, name), **kwargs):
                 calls[_name] += 1
-                return _original(self, *args)
+                return _original(self, *args, **kwargs)
             monkeypatch.setattr(PlanarDiagram, name, counted)
         SkeinEngine().kauffman_polynomial(parse_braid("B4: 1 2 3 1 2 3"))
         assert calls["reduce"] == calls["connected_parts"] > 1
