@@ -104,23 +104,28 @@ class PlanarDiagram:
         components = 0
         entries: dict[int, list[int]] = {cid: [] for cid in self.crossings}
         switch: int | None = None
-        for h0 in sorted(self.arcs):
-            if h0 in visited:
-                continue
-            components += 1
-            h = h0
-            while True:
-                visited.add(h)
-                h2 = self.arcs[h]
-                visited.add(h2)
-                cid, slot = divmod(h2, 4)
-                first = not entries[cid]
-                entries[cid].append(slot)
-                if first and switch is None and slot % 2 != self.crossings[cid]:
-                    switch = cid
-                h = h2 ^ 2
-                if h == h0:
-                    break
+        # Crossing c owns half-edges 4c .. 4c + 3, and a strand through it
+        # holds slots 0 and 2 or slots 1 and 3, so 4c and 4c + 1 are the only
+        # possible smallest half-edges of a strand: ascending starts.
+        for c in sorted(self.crossings):
+            for h0 in (4 * c, 4 * c + 1):
+                if h0 in visited:
+                    continue
+                components += 1
+                h = h0
+                while True:
+                    visited.add(h)
+                    h2 = self.arcs[h]
+                    visited.add(h2)
+                    cid, slot = divmod(h2, 4)
+                    first = not entries[cid]
+                    entries[cid].append(slot)
+                    if (first and switch is None
+                            and slot % 2 != self.crossings[cid]):
+                        switch = cid
+                    h = h2 ^ 2
+                    if h == h0:
+                        break
         writhe = 0
         for cid, ent in entries.items():
             e1, e2 = ent

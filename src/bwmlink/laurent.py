@@ -18,7 +18,8 @@ exponent key to nonzero coefficient, with everything that does not depend
 on the shape of the key.  Each subclass keeps only its product kernel, its
 exact division and its key helpers.  ``LaurentPoly2`` keys are
 (r_exp, s_exp) pairs; ``LaurentPoly1`` keys are plain ints, because 1-tuple
-keys made its product kernel 1.3-1.6x slower.
+keys made its product kernel 1.3-1.6x slower.  A ``LaurentPoly2`` product
+with a monomial m r^a s^b is a key shift by (a, b), scaled by m.
 
 ``sums_of_products_equal`` decides exactly whether two sums of products
 of polynomials are equal without expanding them: it substitutes a power
@@ -196,6 +197,11 @@ class LaurentPoly2(_Laurent):
     def __mul__(self, other: LaurentPoly2 | int) -> LaurentPoly2:
         if type(other) is not LaurentPoly2:
             return self._scaled(other)
+        mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
+        if len(mono._terms) == 1:  # m r^a s^b: shift every key by (a, b)
+            (((a, b), m),) = mono._terms.items()
+            return LaurentPoly2._make({(x + a, y + b): c if m == 1 else c * m
+                                       for (x, y), c in poly._terms.items()})
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():

@@ -18,9 +18,12 @@ descending prefix.  A child of a reduced part can only hold moves that
 touch the resolved crossing's neighbours, so its reduction starts there.
 
 As x = X_NUM / delta, delta = s - s^-1, a diagram with c components (free
-loops included) has value N / delta^(c-1).  The recursion carries (N, c)
-and lifts each smoothing's numerator by delta^0..2, since a smoothing
-changes c by at most one; only ``regular_isotopy_poly`` divides by delta.
+loops included) has value N / delta^(c-1).  The recursion carries (N, c);
+only ``regular_isotopy_poly`` divides by delta.  A smoothing changes c by
+at most one, so a skein step lifts each smoothing's numerator by delta^e,
+0 <= e <= 2.  As delta^e = s - s^-1 or s^2 - 2 + s^-2, ``_skein_step``
+builds N = N_switched + state * (delta^e_par N_par - delta^e_cap N_cap)
+as one sum of s-shifted copies in one output dict, with no product.
 
 The normalized invariant of a braid closure divides out r^(exponent sum);
 it takes the value 1 on the unknot.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, closure_diagram, exponent_sum, free_reduce
 from .diagram import PlanarDiagram
-from .laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
+from .laurent import (ONE2, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
                       Quotient, Specialization, r_pow, specialize)
 
 
@@ -77,7 +80,7 @@ class SkeinEngine:
         split = diagram.free_loops + len(parts) - 1
         if split < 0:
             raise ValueError("the empty diagram has no value")
-        num = X_NUM**split
+        num = X_NUM**split if split else ONE2
         c = diagram.free_loops
         for i, part in enumerate(parts):
             part_num, part_c = self._connected(part)
@@ -96,15 +99,18 @@ class SkeinEngine:
         walk = part.traverse()
         c = walk.components
         if walk.switch_candidate is None:
-            num = r_pow(walk.writhe) * X_NUM ** (c - 1)
+            num = r_pow(walk.writhe)
+            if c > 1:
+                num = num * X_NUM ** (c - 1)
         else:
             x = walk.switch_candidate
             switched, par, cap = part.resolve(x)
             near = part.neighbours(x)
             state = 1 if part.crossings[x] == 1 else -1
-            correction = (_lift(*self._value(par, near), c)
-                          - _lift(*self._value(cap, near), c))
-            num = self._value(switched, near)[0] + state * correction
+            par_num, par_c = self._value(par, near)
+            cap_num, cap_c = self._value(cap, near)
+            num = _skein_step(self._value(switched, near)[0], state,
+                              par_num, 1 + c - par_c, cap_num, 1 + c - cap_c)
         value = (num, c)
         if self._cache is not None:
             self._cache[key] = value
@@ -118,10 +124,30 @@ class SkeinEngine:
             closure_diagram(free_reduce(b)))
 
 
-def _lift(num: LaurentPoly2, c_smoothing: int, c: int) -> LaurentPoly2:
-    """The numerator over delta^(c-1) of delta * num / delta^(c_smoothing-1)."""
-    e = 1 + c - c_smoothing
-    return num * DELTA**e if e else num
+# delta^e for e = 0, 1, 2 as (s-shift, coefficient) pairs
+_DELTA_POWERS = (((0, 1),), ((1, 1), (-1, -1)), ((2, 1), (0, -2), (-2, 1)))
+
+
+def _skein_step(sw: LaurentPoly2, state: int, par: LaurentPoly2, e_par: int,
+                cap: LaurentPoly2, e_cap: int) -> LaurentPoly2:
+    """sw + state * (delta^e_par * par - delta^e_cap * cap), summed into one
+    dict as s-shifted copies of the terms of par and cap."""
+    if not (0 <= e_par <= 2 and 0 <= e_cap <= 2):
+        raise ValueError(f"delta exponents {e_par}, {e_cap} outside 0..2")
+    out = dict(sw._terms)
+    get = out.get
+    for poly, e, sign in ((par, e_par, state), (cap, e_cap, -state)):
+        items = poly._terms.items()
+        for shift, m in _DELTA_POWERS[e]:
+            m *= sign
+            for (a, b), c in items:
+                k = (a, b + shift)
+                n = get(k, 0) + m * c
+                if n:
+                    out[k] = n
+                else:
+                    del out[k]
+    return LaurentPoly2._make(out)
 
 
 _default_engine = SkeinEngine()

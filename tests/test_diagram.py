@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bwmlink import diagram as diagram_module
 from bwmlink.braid import BraidWord, closure_diagram, parse_braid
-from bwmlink.diagram import PlanarDiagram
+from bwmlink.diagram import PlanarDiagram, Traversal
 from bwmlink.skein import SkeinEngine
 
 
@@ -82,6 +82,39 @@ def reference_canonical_key(d: PlanarDiagram) -> tuple[int, ...]:
         if best is None or key < best:
             best = key
     return tuple(best)
+
+
+def reference_traverse(d: PlanarDiagram) -> Traversal:
+    """The strand walk started from every half-edge in sorted order, the
+    reference for traverse's starts at 4c and 4c + 1."""
+    visited: set[int] = set()
+    components = 0
+    entries: dict[int, list[int]] = {cid: [] for cid in d.crossings}
+    switch = None
+    for h0 in sorted(d.arcs):
+        if h0 in visited:
+            continue
+        components += 1
+        h = h0
+        while True:
+            visited.add(h)
+            h2 = d.arcs[h]
+            visited.add(h2)
+            cid, slot = divmod(h2, 4)
+            first = not entries[cid]
+            entries[cid].append(slot)
+            if first and switch is None and slot % 2 != d.crossings[cid]:
+                switch = cid
+            h = h2 ^ 2
+            if h == h0:
+                break
+    writhe = 0
+    for cid, ent in entries.items():
+        e1, e2 = ent
+        over = d.crossings[cid]
+        over_entry, under_entry = (e1, e2) if e1 % 2 == over else (e2, e1)
+        writhe += 1 if (over_entry - under_entry) % 4 == 1 else -1
+    return Traversal(components, switch, writhe)
 
 
 @st.composite
@@ -351,6 +384,17 @@ class TestTraversal:
         # braid orientations make the geometric and algebraic signs agree
         d = closure_diagram(w)
         assert d.traverse().writhe == sum(e for _, e in w.letters)
+
+    @given(small_words(max_len=8), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, w, seed):
+        # the closure and every resolve child, each also relabeled
+        d = closure_diagram(w)
+        diagrams = [d] + [child for cid in d.crossings
+                          for child in d.resolve(cid)]
+        for diagram in diagrams:
+            for e in (diagram, relabeled(diagram, seed)):
+                assert e.traverse() == reference_traverse(e)
 
 
 class TestCanonicalKey:

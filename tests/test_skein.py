@@ -5,9 +5,10 @@ from bwmlink.braid import (BraidWord, closure_diagram, conjugate, parse_braid,
                            stabilize)
 from bwmlink.closed_forms import torus2_invariant
 from bwmlink.diagram import PlanarDiagram
-from bwmlink.laurent import (DELTA, LaurentPoly2, LocalizedPoly, loop_value,
-                             r_pow)
-from bwmlink.skein import SkeinEngine, kauffman_polynomial
+from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly2, LocalizedPoly,
+                             loop_value, r_pow)
+from bwmlink.skein import SkeinEngine, _skein_step, kauffman_polynomial
+from test_laurent import polys2, reference_mul
 
 X = loop_value()
 
@@ -365,6 +366,66 @@ class TestNumerators:
         assert eng.cache_size > 0
         for num, c in eng._cache.values():
             assert type(num) is LaurentPoly2 and type(c) is int and c >= 1
+
+
+def reference_delta_power(e: int) -> LaurentPoly2:
+    out = ONE2
+    for _ in range(e):
+        out = reference_mul(out, DELTA)
+    return out
+
+
+class TestSkeinStep:
+    """``_skein_step`` sums s-shifted copies of the smoothings' numerators
+    into one dict: it must equal the step built from products."""
+
+    @given(polys2(), polys2(), polys2(), st.integers(0, 2), st.integers(0, 2),
+           st.sampled_from((1, -1)), st.booleans())
+    @settings(max_examples=100)
+    def test_matches_reference(self, sw, par, cap, e_par, e_cap, state, cancel):
+        if cancel:  # the smoothing terms cancel, leaving sw
+            cap, e_cap = par, e_par
+        expected = sw + state * (reference_mul(par, reference_delta_power(e_par))
+                                 - reference_mul(cap, reference_delta_power(e_cap)))
+        step = _skein_step(sw, state, par, e_par, cap, e_cap)
+        assert step == expected
+        assert 0 not in step._terms.values()
+        if cancel:
+            assert step == sw
+
+    def test_cancels_to_zero(self):
+        for e in range(3):
+            assert _skein_step(LaurentPoly2(), 1, X_NUM, e, X_NUM, e).is_zero
+
+    @pytest.mark.parametrize("e", [3, -1])
+    def test_exponent_outside_range(self, e):
+        with pytest.raises(ValueError):
+            _skein_step(ONE2, 1, ONE2, e, ONE2, 0)
+        with pytest.raises(ValueError):
+            _skein_step(ONE2, 1, ONE2, 0, ONE2, e)
+
+    def test_no_general_product(self, monkeypatch):
+        # every product left in the recursion has a one-term operand, and
+        # no part or leaf builds X_NUM**0
+        general, x_num_zero = [], []
+        mul, power = LaurentPoly2.__mul__, LaurentPoly2.__pow__
+
+        def counting_mul(self, other):
+            if type(other) is LaurentPoly2 and len(self) > 1 and len(other) > 1:
+                general.append((self, other))
+            return mul(self, other)
+
+        def counting_pow(self, n):
+            if n == 0 and self == X_NUM:
+                x_num_zero.append(self)
+            return power(self, n)
+
+        monkeypatch.setattr(LaurentPoly2, "__mul__", counting_mul)
+        monkeypatch.setattr(LaurentPoly2, "__pow__", counting_pow)
+        value = SkeinEngine().kauffman_polynomial(parse_braid("B2: 1^12"))
+        monkeypatch.undo()
+        assert general == [] and x_num_zero == []
+        assert value == torus2_invariant(12)
 
 
 class TestPokeReduction:
