@@ -371,14 +371,35 @@ def specialized_weights_equal(shape: Shape, n: int) -> bool:
     built.  The check is then num_osp * den_so == num_so * den_osp, in
     full: no sign rule is assumed.  Both sides stay unexpanded products of
     specialized factors, compared exactly by ``sums_of_products_equal``.
+    Each distinct box factor and each s^h - s^-h is specialized once per n
+    and kept in a module-level cache.
     """
-    osp, so = Specialization.osp(n), Specialization.so(n)
     lhs: list[LaurentPoly1] = []  # num_osp * den_so
     rhs: list[LaurentPoly1] = []  # num_so * den_osp
     for factor, hook in _box_factors(shape):
-        lhs += specialize(factor, osp), specialize(_gap(0, hook), so)
-        rhs += specialize(factor, so), specialize(_gap(0, hook), osp)
+        num_osp, num_so = _images(tuple(factor._terms.items()), n)
+        den_osp, den_so = _hook_images(hook, n)
+        lhs += num_osp, den_so
+        rhs += num_so, den_osp
     return sums_of_products_equal([tuple(lhs)], [tuple(rhs)])
+
+
+@lru_cache(maxsize=None)
+def _images(items, n: int) -> tuple[LaurentPoly1, LaurentPoly1]:
+    """The osp(n) and so(n) images of the polynomial with these terms.
+
+    Keyed on the term items and n, not on the polynomial and the
+    ``Specialization``: their hashes cost about as much as the
+    specialization itself."""
+    poly = LaurentPoly2(dict(items))
+    return (specialize(poly, Specialization.osp(n)),
+            specialize(poly, Specialization.so(n)))
+
+
+@lru_cache(maxsize=None)
+def _hook_images(h: int, n: int) -> tuple[LaurentPoly1, LaurentPoly1]:
+    """The osp(n) and so(n) images of s^h - s^-h."""
+    return _images(tuple(_gap(0, h)._terms.items()), n)
 
 
 # ---------------------------------------------------------------------------

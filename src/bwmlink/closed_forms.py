@@ -43,23 +43,31 @@ def _row(m: int) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
 
     A missing row is computed in a loop from the nearest stored row between
     m and 0, storing every row on the way, so no |m| deepens the call stack.
+    The memo holds r^k c_k in place of c_k: c_k has Theta(k^2) terms, and
+    in that form a step shifts only the Theta(k)-term a or b part,
+
+        r^(k+1) c_(k+1) = r^k c_k - r^k b_k (s - s^-1)      (ascending),
+        r^(k-1) c_(k-1) = r^k c_k + r^(k-1) a_k (s - s^-1)  (descending),
+
+    so c_m is shifted by r^-m once per call.
     """
     row = _rows.get(m)
-    if row is not None:
-        return row
-    step = 1 if m > 0 else -1
-    k = m
-    while k and k not in _rows:
-        k -= step
-    a, b, c = _rows.get(k, (_ONE, _ZERO, _ZERO))
-    while k != m:
-        k += step
-        if step > 0:
-            a, b, c = b, a + b * DELTA, -b * _R_INV * DELTA + c * _R_INV
-        else:
-            a, b, c = b - a * DELTA, a, a * DELTA + c * r_pow(1)
-        _rows[k] = (a, b, c)
-    return a, b, c
+    if row is None:
+        step = 1 if m > 0 else -1
+        k = m
+        while k and k not in _rows:
+            k -= step
+        a, b, rc = _rows.get(k, (_ONE, _ZERO, _ZERO))
+        while k != m:
+            if step > 0:
+                a, b, rc = b, a + b * DELTA, rc - b * DELTA * r_pow(k)
+            else:
+                a, b, rc = b - a * DELTA, a, rc + a * DELTA * r_pow(k - 1)
+            k += step
+            _rows[k] = (a, b, rc)
+        row = a, b, rc
+    a, b, rc = row
+    return a, b, rc * r_pow(-m)
 
 
 # emptied like a functools cache by callers that reset every cache

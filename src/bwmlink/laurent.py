@@ -24,8 +24,9 @@ with a monomial m r^a s^b is a key shift by (a, b), scaled by m.
 ``sums_of_products_equal`` decides exactly whether two sums of products
 of polynomials are equal without expanding them: it substitutes a power
 of two above every coefficient the difference can have, builds each
-product's Python int as sums of scaled, shifted copies, and compares.
-The Bratteli sum rule and the Lemma-2 weight check use it.
+product's Python int by adding or subtracting shifted copies (multiplying
+only for a coefficient of size 2 or more), and compares.  The Bratteli
+sum rule and the Lemma-2 weight check use it.
 
 All values are immutable; every operation returns a fresh value.
 """
@@ -361,10 +362,12 @@ def sums_of_products_equal(lhs, rhs) -> bool:
     s-degree of any product minus the lowest), so distinct monomials
     r^a s^b of D go to distinct powers s^(W a + b).  Then s (or q) becomes
     B.  Each factor, shifted to nonnegative exponents as terms c B^e, is
-    multiplied into its product's int v as the sum of the scaled, shifted
-    copies (v c) << (K e), each linear in the size of v.  Each product is
-    shifted back by the sum of its factors' shifts, less the smallest such
-    sum, before the two sides' totals are compared.
+    multiplied into its product's int v as the sum of the shifted copies
+    c (v << K e): a copy is added for c = 1 and subtracted for c = -1, and
+    only a larger |c| costs a product, v c.  Every step is linear in the
+    size of v.  In two variables each distinct factor is flattened once.
+    Each product is shifted back by the sum of its factors' shifts, less
+    the smallest such sum, before the two sides' totals are compared.
 
     Why this is exact.  The substitution is a ring homomorphism, so the
     totals differ by D(B) times a power of B, which is 0 when D = 0.  If
@@ -372,40 +375,51 @@ def sums_of_products_equal(lhs, rhs) -> bool:
     0 < |c| <= M < B, and D(B) = B^e (c + B t) for an integer t.  Then
     c + B t = 0 would make B divide c, so D(B) is not 0.
     """
-    sides = (lhs, rhs)
-    kinds = {type(f) for side in sides for t in side for f in t}
-    if len(kinds) > 1:
-        raise TypeError("factors of different classes")
-    products = [(sign, t) for sign, side in zip((1, -1), sides)
-                for t in side if all(f._terms for f in t)]
+    cls = None
+    products = []  # (sign, factors) of every nonzero product
+    bound = 0
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for t in side:
+            norm = 1
+            for f in t:
+                if type(f) is not cls:
+                    if cls is not None:
+                        raise TypeError("factors of different classes")
+                    cls = type(f)
+                norm *= sum(map(abs, f._terms.values()))
+            if norm:
+                products.append((sign, t))
+                bound += norm
     if not products:
         return True
-    bound = 0
-    for _, t in products:
-        norm = 1
-        for f in t:
-            norm *= sum(map(abs, f._terms.values()))
-        bound += norm
-    flat = None
-    if kinds == {LaurentPoly2}:
-        low = min(sum(min(b for _, b in f._terms) for f in t)
-                  for _, t in products)
-        high = max(sum(max(b for _, b in f._terms) for f in t)
-                   for _, t in products)
+    flats = None
+    if cls is LaurentPoly2:
+        # each distinct factor's s-degree range, then its flattened terms
+        distinct = {id(f): f for _, t in products for f in t}
+        spans = {i: (min(b for _, b in f._terms), max(b for _, b in f._terms))
+                 for i, f in distinct.items()}
+        low = min(sum(spans[id(f)][0] for f in t) for _, t in products)
+        high = max(sum(spans[id(f)][1] for f in t) for _, t in products)
         width = high - low + 1
-
-        def flat(key):
-            return width * key[0] + key[1]
+        flats = {i: {width * a + b: c for (a, b), c in f._terms.items()}
+                 for i, f in distinct.items()}
 
     bits = bound.bit_length()
     shifted = []  # (value at B, exponent of B to multiply it by)
     for sign, t in products:
         value, shift = sign, 0
         for f in t:
-            terms = ({flat(k): c for k, c in f._terms.items()} if flat
-                     else f._terms)
+            terms = flats[id(f)] if flats else f._terms
             lo = min(terms)
-            value = sum(value * c << bits * (e - lo) for e, c in terms.items())
+            total = 0
+            for e, c in terms.items():
+                if c == 1:
+                    total += value << bits * (e - lo)
+                elif c == -1:
+                    total -= value << bits * (e - lo)
+                else:
+                    total += value * c << bits * (e - lo)
+            value = total
             shift += lo
         shifted.append((value, shift))
     base = min(shift for _, shift in shifted)

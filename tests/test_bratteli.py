@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bwmlink.bratteli as yb
+from bwmlink import laurent
 from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly2, RationalFn2,
                              Specialization, loop_value, quantum_dimension,
                              r_pow, s_pow, specialize)
@@ -337,6 +338,33 @@ class TestWeightsEqualByFactors:
         monkeypatch.setattr(yb, "_box_factors", times_r)
         for shape, n in cases:
             assert not yb.specialized_weights_equal(shape, n), (shape, n)
+
+    def test_each_factor_specialized_once(self, monkeypatch):
+        # one sweep from empty caches specializes each distinct box factor
+        # and each s^h - s^-h at most once per specialization
+        calls = []
+        real = laurent.specialize
+
+        def counted(value, spec):
+            calls.append((value, spec))
+            return real(value, spec)
+
+        monkeypatch.setattr(laurent, "specialize", counted)
+        monkeypatch.setattr(yb, "specialize", counted)
+        for value in vars(yb).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        pairs = set()
+        for size in range(10):
+            for shape in yb.young_level(size):
+                for n in (1, 2, 3):
+                    assert yb.specialized_weights_equal(shape, n), (shape, n)
+                    for factor, hook in yb._box_factors(shape):
+                        for spec in (Specialization.osp(n),
+                                     Specialization.so(n)):
+                            pairs |= {(factor, spec), (yb._gap(0, hook), spec)}
+        assert len(pairs) == 414
+        assert len(calls) <= len(pairs)
 
 
 class TestGraph:

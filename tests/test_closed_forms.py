@@ -157,6 +157,21 @@ class TestRowsWithoutRecursion:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_rows_match_the_unshifted_steps(self):
+        # the memo holds r^k c_k; the rows it returns are those of the
+        # recurrence on c_k itself, term for term
+        cf._row.cache_clear()
+        for step, stop in ((1, 60), (-1, -60)):
+            a, b, c = ONE, ZERO, ZERO
+            for m in range(step, stop + step, step):
+                if step > 0:
+                    a, b, c = b, a + b * DELTA, -b * R_INV * DELTA + c * R_INV
+                else:
+                    a, b, c = b - a * DELTA, a, a * DELTA + c * R
+                row = generator_power(m)
+                assert [p.to_lists() for p in (row.a, row.b, row.c)] == [
+                    p.to_lists() for p in (a, b, c)], m
+
     def test_rows_independent_of_fill_order(self):
         # the same rows whether computed upward from 0 or from a stored row
         cf._row.cache_clear()

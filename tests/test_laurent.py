@@ -1,7 +1,7 @@
 import inspect
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 import bwmlink
 from bwmlink import laurent
@@ -508,14 +508,63 @@ def mixed_sides(draw):
     return lhs, rhs, one
 
 
-def byte_base_copy():
-    """A copy of the helper with B = 2^8 whatever the coefficient bound."""
+def terms_as_products(poly, cls):
+    """poly as a sum of products of one factor each, all coefficients +-1:
+    a term c m gives |c| products (+-m,)."""
+    return [(cls({key: 1 if c > 0 else -1}),)
+            for key, c in poly._terms.items() for _ in range(abs(c))]
+
+
+@st.composite
+def sides_with_coefficients(draw, coeffs, as_products):
+    """Two sums of products whose drawn factors take their coefficients
+    from ``coeffs``; half the time the right side gets the difference,
+    written as products by ``as_products(poly, cls)``."""
+    cls, keys = draw(st.sampled_from(
+        [(LaurentPoly1, exps), (LaurentPoly2, st.tuples(exps, exps))]))
+    factor = st.dictionaries(keys, coeffs, min_size=1, max_size=4).map(cls)
+    side = st.lists(st.lists(factor, min_size=1, max_size=3).map(tuple),
+                    min_size=1, max_size=3)
+    lhs, rhs = draw(side), draw(side)
+    one = cls.const(1)
+    if draw(st.booleans()):
+        rhs = rhs + as_products(expand(lhs, one) - expand(rhs, one), cls)
+    return lhs, rhs, one
+
+
+def unit_sides():
+    """Every coefficient +-1, the difference's terms included."""
+    return sides_with_coefficients(st.sampled_from((1, -1)), terms_as_products)
+
+
+def scaled_sides():
+    """Every coefficient even and nonzero, so |c| >= 2 holds for every
+    product and for the difference too."""
+    even = st.one_of(st.integers(1, 20), st.integers(-20, -1),
+                     st.integers(2**40, 2**44)).map(lambda c: 2 * c)
+    return sides_with_coefficients(
+        even, lambda poly, cls: [(poly,)] if poly._terms else [])
+
+
+def kernel_copy(old, new):
+    """A copy of the helper with the source text ``old`` made ``new``."""
     source = inspect.getsource(laurent.sums_of_products_equal)
-    mutated = source.replace("bits = bound.bit_length()", "bits = 8")
+    mutated = source.replace(old, new)
     assert mutated != source
     namespace = dict(vars(laurent))
     exec(mutated, namespace)
     return namespace["sums_of_products_equal"]
+
+
+def byte_base_copy():
+    """A copy of the helper with B = 2^8 whatever the coefficient bound."""
+    return kernel_copy("bits = bound.bit_length()", "bits = 8")
+
+
+def agrees(kernel, case):
+    """Whether ``kernel`` decides the case as the expansion does."""
+    lhs, rhs, one = case
+    return kernel(lhs, rhs) is (expand(lhs, one) == expand(rhs, one))
 
 
 class TestSumsOfProductsEqual:
@@ -526,6 +575,29 @@ class TestSumsOfProductsEqual:
         expected = expand(lhs, one) == expand(rhs, one)
         assert sums_of_products_equal(lhs, rhs) is expected
         assert sums_of_products_equal(rhs, lhs) is expected
+
+    @given(st.one_of(unit_sides(), scaled_sides()))
+    @settings(max_examples=150, deadline=None)
+    def test_unit_and_scaled_coefficients(self, case):
+        # +-1 coefficients take the add and subtract branches of the
+        # kernel, |c| >= 2 the multiply branch
+        lhs, rhs, one = case
+        assert agrees(sums_of_products_equal, case)
+        assert agrees(sums_of_products_equal, (rhs, lhs, one))
+
+    @pytest.mark.parametrize("strategy, old, new", [
+        (unit_sides, "total -= value << bits", "total += value << bits"),
+        (scaled_sides, "total += value * c << bits", "total += value << bits"),
+    ])
+    def test_branch_mutants_fail(self, strategy, old, new):
+        # a kernel that adds the copy for c = -1, or drops the scale for
+        # |c| >= 2, disagrees with the expansion on some drawn case
+        mutant = kernel_copy(old, new)
+        case = find(strategy(), lambda case: not agrees(mutant, case),
+                    settings=settings(max_examples=500, database=None,
+                                      derandomize=True,
+                                      phases=[Phase.generate]))
+        assert agrees(sums_of_products_equal, case)
 
     def test_edge_cases(self):
         q = LaurentPoly1.term(1, 1)
