@@ -86,12 +86,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _value_json(value):
     if isinstance(value, LocalizedPoly):
-        return {"num": value.num.to_triples(), "den_power": value.k,
+        return {"num": value.num.to_lists(), "den_power": value.k,
                 "variables": ["r", "s"]}
     if isinstance(value, LaurentPoly1):
-        return {"terms": value.to_pairs(), "variables": ["q"]}
+        return {"terms": value.to_lists(), "variables": ["q"]}
     if isinstance(value, Quotient):
-        return {"num": value.num.to_pairs(), "den": value.den.to_pairs(),
+        return {"num": value.num.to_lists(), "den": value.den.to_lists(),
                 "variables": ["q"]}
     raise TypeError(f"unexpected value type {type(value).__name__}")
 

@@ -7,8 +7,8 @@ integer Laurent polynomials in r and s.  Iterating
     g^(m+1) = b_m + (a_m + b_m (s - s^-1)) g
               + (-b_m r^-1 (s - s^-1) + c_m r^-1) e
 
-ascends from g^1 = g, and the inverse step derived from
-g^-1 = g - (s - s^-1)(1 - e) descends below zero.  These rows drive the
+steps up from any row, and its inverse, which gives
+g^-1 = g - (s - s^-1)(1 - e) from g^0 = 1, steps down.  These rows drive the
 closed-form invariant of the two-strand torus links, the independent oracle
 for the skein engine.
 """
@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import (DELTA, X_NUM, LaurentPoly2, LocalizedPoly, Quotient,
-                      loop_value, r_pow)
-
-_ONE = LaurentPoly2.const(1)
-_ZERO = LaurentPoly2()
-_R_INV = r_pow(-1)
+from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly2, LocalizedPoly,
+                      Quotient, loop_value, r_pow)
 
 
 @dataclass(frozen=True)
@@ -35,43 +31,47 @@ class GeneratorPower:
     c: LaurentPoly2
 
 
-_rows: dict[int, tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]] = {}
+_ROW_0 = (0, ONE2, ZERO2, ZERO2)
+_kept = _ROW_0  # (k, a_k, b_k, r^k c_k) of the last row built
 
 
 def _row(m: int) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
-    """The row (a_m, b_m, c_m), memoized.
+    """The row (a_m, b_m, c_m).
 
-    A missing row is computed in a loop from the nearest stored row between
-    m and 0, storing every row on the way, so no |m| deepens the call stack.
-    The memo holds r^k c_k in place of c_k: c_k has Theta(k^2) terms, and
-    in that form a step shifts only the Theta(k)-term a or b part,
+    One row is kept between calls, with r^k c_k in place of c_k: c_k has
+    Theta(k^2) terms, and in that form a step shifts only the Theta(k)-term
+    a or b part,
 
         r^(k+1) c_(k+1) = r^k c_k - r^k b_k (s - s^-1)      (ascending),
-        r^(k-1) c_(k-1) = r^k c_k + r^(k-1) a_k (s - s^-1)  (descending),
+        r^(k-1) c_(k-1) = r^k c_k + r^(k-1) a_k (s - s^-1)  (descending).
 
-    so c_m is shifted by r^-m once per call.
+    The two steps are inverse identities that hold for every k, of either
+    sign.  Row m is reached in a loop from the kept row or from row 0,
+    whichever is fewer steps away, so no |m| deepens the call stack, and
+    c_m is shifted by r^-m once per call.  ``_row.cache_clear`` resets the
+    kept row to row 0.
     """
-    row = _rows.get(m)
-    if row is None:
-        step = 1 if m > 0 else -1
-        k = m
-        while k and k not in _rows:
-            k -= step
-        a, b, rc = _rows.get(k, (_ONE, _ZERO, _ZERO))
-        while k != m:
-            if step > 0:
-                a, b, rc = b, a + b * DELTA, rc - b * DELTA * r_pow(k)
-            else:
-                a, b, rc = b - a * DELTA, a, rc + a * DELTA * r_pow(k - 1)
-            k += step
-            _rows[k] = (a, b, rc)
-        row = a, b, rc
-    a, b, rc = row
+    global _kept
+    k, a, b, rc = _kept
+    if abs(m) < abs(m - k):
+        k, a, b, rc = _ROW_0
+    while k < m:
+        a, b, rc = b, a + b * DELTA, rc - b * DELTA * r_pow(k)
+        k += 1
+    while k > m:
+        a, b, rc = b - a * DELTA, a, rc + a * DELTA * r_pow(k - 1)
+        k -= 1
+    _kept = k, a, b, rc
     return a, b, rc * r_pow(-m)
 
 
-# emptied like a functools cache by callers that reset every cache
-_row.cache_clear = _rows.clear
+def _forget_row() -> None:
+    global _kept
+    _kept = _ROW_0
+
+
+# called like a functools cache's by callers that reset every cache
+_row.cache_clear = _forget_row
 
 
 def generator_power(m: int) -> GeneratorPower:

@@ -15,8 +15,10 @@ Four value types:
 
 The two polynomial classes share one sparse core, ``_Laurent``: a map from
 exponent key to nonzero coefficient, with everything that does not depend
-on the shape of the key.  Each subclass keeps only its product kernel, its
-exact division and its key helpers.  ``LaurentPoly2`` keys are
+on the shape of the key.  Each subclass keeps only its product kernel and
+its key helpers; both ``exact_div`` methods call ``_long_div``, the one
+long division, on int-keyed term maps (``LaurentPoly2`` first maps r to a
+power of s wide enough to decode the quotient).  ``LaurentPoly2`` keys are
 (r_exp, s_exp) pairs; ``LaurentPoly1`` keys are plain ints, because 1-tuple
 keys made its product kernel 1.3-1.6x slower.  A ``LaurentPoly2`` product
 with a monomial m r^a s^b is a key shift by (a, b), scaled by m.
@@ -219,40 +221,49 @@ class LaurentPoly2(_Laurent):
     def exact_div(self, d: LaurentPoly2) -> LaurentPoly2 | None:
         """Exact quotient self / d in the Laurent ring, or None.
 
-        Shifts both operands into the ordinary polynomial ring and runs
-        plain lex-leading-term division; a stuck or nonzero remainder
-        means d does not divide self.
+        Method.  With lo = smin(self) - smax(d) and W = smax(self) - smin(d)
+        - lo + 1, the substitution r -> t^W, s -> t sends r^a s^b to
+        t^(W a + b); both images are divided by ``_long_div``, and each key
+        k of the quotient's image is decoded as a = (k - lo) // W,
+        b = lo + (k - lo) % W.  The decoded value is returned only if its
+        product with d is self.
+
+        Why decoding is exact when a quotient q exists.  Z[r^+-1] has no
+        zero divisors, so the top and bottom s-degrees of a product are the
+        sums of its factors': every term r^a s^b of q has
+        smin(self) - smin(d) <= b <= smax(self) - smax(d), so 0 <= b - lo
+        <= smax(self) - smin(self) < W.  On such terms the substitution is
+        one to one, so the image of q has no cancelled or merged terms and
+        decodes back to q.  The substitution is a ring homomorphism into
+        Z[t^+-1], which has no zero divisors either, so the image of self
+        is the image of q times the image of d, and that quotient is
+        unique.  ``_long_div`` finds it: each remainder is the rest of the
+        quotient times the image of d, so neither of its stops fires.  So
+        q is returned, never None.
+
+        Why the check rejects aliased quotients.  When no quotient exists
+        the images may still divide: 1 - r and 1 - s give 1 - t^2 and
+        1 - t.  The decoded value then times d is not self, since it would
+        otherwise be a quotient, so None is returned.
         """
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly2()
-        # shift so both operands have nonnegative exponents
-        pmin = (min(a for a, _ in self._terms), min(b for _, b in self._terms))
-        dmin = (min(a for a, _ in d._terms), min(b for _, b in d._terms))
-        rem = {(a - pmin[0], b - pmin[1]): c for (a, b), c in self._terms.items()}
-        div = {(a - dmin[0], b - dmin[1]): c for (a, b), c in d._terms.items()}
-        dlt = max(div)
-        dlc = div[dlt]
-        quot: dict[tuple[int, int], int] = {}
-        while rem:
-            lt = max(rem)
-            lc = rem[lt]
-            qa, qb = lt[0] - dlt[0], lt[1] - dlt[1]
-            if qa < 0 or qb < 0 or lc % dlc:
-                return None
-            qc = lc // dlc
-            quot[(qa, qb)] = qc
-            for (a, b), c in div.items():
-                k = (a + qa, b + qb)
-                n = rem.get(k, 0) - qc * c
-                if n:
-                    rem[k] = n
-                else:
-                    rem.pop(k, None)
-        # undo the shifts: self/d = quot * r^(pmin-dmin) s^(...)
-        sa, sb = pmin[0] - dmin[0], pmin[1] - dmin[1]
-        return LaurentPoly2._make({(a + sa, b + sb): c for (a, b), c in quot.items()})
+        ps = [b for _, b in self._terms]
+        ds = [b for _, b in d._terms]
+        lo = min(ps) - max(ds)
+        width = max(ps) - min(ds) - lo + 1
+        quot = _long_div({width * a + b: c for (a, b), c in self._terms.items()},
+                         {width * a + b: c for (a, b), c in d._terms.items()})
+        if quot is None:
+            return None
+        terms = {}
+        for k, c in quot.items():
+            a, b = divmod(k - lo, width)
+            terms[(a, b + lo)] = c
+        out = LaurentPoly2._make(terms)
+        return out if out * d == self else None
 
     to_triples = _Laurent.to_lists
 
@@ -314,33 +325,36 @@ class LaurentPoly1(_Laurent):
     def exact_div(self, d: LaurentPoly1) -> LaurentPoly1 | None:
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly1()
-        rem = dict(self._terms)
-        dlt = max(d._terms)
-        dlc = d._terms[dlt]
-        dmin = min(d._terms)
-        quot: dict[int, int] = {}
-        while rem:
-            lt = max(rem)
-            if min(rem) - dmin > lt - dlt:
-                return None  # remainder narrower than divisor
-            lc = rem[lt]
-            if lc % dlc:
-                return None
-            q = lc // dlc
-            e = lt - dlt
-            quot[e] = q
-            for de, dc in d._terms.items():
-                k = de + e
-                n = rem.get(k, 0) - q * dc
-                if n:
-                    rem[k] = n
-                else:
-                    rem.pop(k, None)
-        return LaurentPoly1._make(quot)
+        quot = _long_div(self._terms, d._terms)
+        return None if quot is None else LaurentPoly1._make(quot)
 
-    to_pairs = _Laurent.to_lists
+
+def _long_div(p: dict[int, int], d: dict[int, int]) -> dict[int, int] | None:
+    """Exact quotient of int-keyed term maps p / d (d nonzero) by long
+    division from the top term, or None when d does not divide p."""
+    rem = dict(p)
+    dlt = max(d)
+    dlc = d[dlt]
+    dmin = min(d)
+    quot: dict[int, int] = {}
+    while rem:
+        lt = max(rem)
+        if min(rem) - dmin > lt - dlt:
+            return None  # remainder narrower than divisor
+        lc = rem[lt]
+        if lc % dlc:
+            return None
+        q = lc // dlc
+        e = lt - dlt
+        quot[e] = q
+        for de, dc in d.items():
+            k = de + e
+            n = rem.get(k, 0) - q * dc
+            if n:
+                rem[k] = n
+            else:
+                rem.pop(k, None)
+    return quot
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import bwmlink.closed_forms as cf
@@ -141,6 +142,24 @@ def _stack_depth() -> int:
     return depth
 
 
+def _unshifted_rows(stop: int) -> dict[int, list]:
+    """Rows |m| <= stop of the recurrence on c_m itself, as term lists."""
+    rows = {0: _row_lists(GeneratorPower(0, ONE, ZERO, ZERO))}
+    for step in (1, -1):
+        a, b, c = ONE, ZERO, ZERO
+        for m in range(step, step * (stop + 1), step):
+            if step > 0:
+                a, b, c = b, a + b * DELTA, -b * R_INV * DELTA + c * R_INV
+            else:
+                a, b, c = b - a * DELTA, a, a * DELTA + c * R
+            rows[m] = _row_lists(GeneratorPower(m, a, b, c))
+    return rows
+
+
+def _row_lists(row: GeneratorPower) -> list:
+    return [p.to_lists() for p in (row.a, row.b, row.c)]
+
+
 class TestRowsWithoutRecursion:
     def test_rows_past_the_recursion_limit(self):
         # rows are filled in a loop, so |m| far above the frames left
@@ -158,22 +177,28 @@ class TestRowsWithoutRecursion:
             sys.setrecursionlimit(limit)
 
     def test_rows_match_the_unshifted_steps(self):
-        # the memo holds r^k c_k; the rows it returns are those of the
+        # the kept row holds r^k c_k; the rows it returns are those of the
         # recurrence on c_k itself, term for term
         cf._row.cache_clear()
-        for step, stop in ((1, 60), (-1, -60)):
-            a, b, c = ONE, ZERO, ZERO
-            for m in range(step, stop + step, step):
-                if step > 0:
-                    a, b, c = b, a + b * DELTA, -b * R_INV * DELTA + c * R_INV
-                else:
-                    a, b, c = b - a * DELTA, a, a * DELTA + c * R
-                row = generator_power(m)
-                assert [p.to_lists() for p in (row.a, row.b, row.c)] == [
-                    p.to_lists() for p in (a, b, c)], m
+        expected = _unshifted_rows(60)
+        for m in [*range(1, 61), *range(-1, -61, -1)]:
+            assert _row_lists(generator_power(m)) == expected[m], m
+
+    def test_rows_in_any_order(self):
+        # sweeps that step up from negative kept rows and down from
+        # positive ones, then a shuffled order with resets at random points
+        expected = _unshifted_rows(40)
+        rng = random.Random(17)
+        shuffled = list(range(-40, 41))
+        rng.shuffle(shuffled)
+        cf._row.cache_clear()
+        for m in [*range(-40, 41), *range(40, -41, -1), *shuffled]:
+            if rng.random() < 0.1:
+                cf._row.cache_clear()
+            assert _row_lists(generator_power(m)) == expected[m], m
 
     def test_rows_independent_of_fill_order(self):
-        # the same rows whether computed upward from 0 or from a stored row
+        # the same rows whether computed from row 0 or from a kept row
         cf._row.cache_clear()
         direct = [generator_power(m) for m in (-30, 30)]
         cf._row.cache_clear()

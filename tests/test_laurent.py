@@ -121,6 +121,11 @@ class TestExactDivision:
             return
         assert (p * d).exact_div(d) == p
 
+    def test_aliased_images_rejected(self):
+        # r -> t^2, s -> t sends these to 1 - t^2 and 1 - t, which divide;
+        # the decoded 1 + r*s^-1 times 1 - s is not 1 - r
+        assert (1 - R).exact_div(1 - S) is None
+
 
 class TestDivDelta:
     def test_examples(self):
@@ -268,6 +273,27 @@ def polys1(draw, max_terms=4, max_exp=4, max_coeff=5):
                                  st.integers(-max_coeff, max_coeff),
                                  max_size=max_terms))
     return LaurentPoly1(terms)
+
+
+class TestExactDivBothClasses:
+    """Both classes divide with the one long division: the result is None
+    or an exact quotient, and never None when a quotient exists."""
+
+    @pytest.mark.parametrize("polys", [polys2, polys1])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_none_or_exact(self, polys, data):
+        p, q, d = (data.draw(polys()) for _ in range(3))
+        if d.is_zero:
+            return
+        out = p.exact_div(d)
+        assert out is None or out * d == p, (p, d, out)
+        assert (q * d).exact_div(d) == q
+
+    def test_zero_divisor(self):
+        for zero in (LaurentPoly2(), LaurentPoly1()):
+            with pytest.raises(ZeroDivisionError):
+                zero.exact_div(zero)
 
 
 class TestQuotient:
