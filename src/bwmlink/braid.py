@@ -8,10 +8,10 @@ convenience only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .diagram import PlanarDiagram
+from .record import Record, init_field
 
 
 class BraidParseError(ValueError):
@@ -22,21 +22,22 @@ class BraidParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A braid on ``strands`` strands with letters (index, +-1)."""
 
-    strands: int
-    letters: tuple[tuple[int, int], ...] = ()
+    _fields = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int,
+                 letters: tuple[tuple[int, int], ...] = ()):
+        if strands < 1:
             raise ValueError("strand count must be at least 1")
-        for i, e in self.letters:
-            if not 1 <= i <= self.strands - 1:
-                raise ValueError(f"generator index {i} out of range 1..{self.strands - 1}")
+        for i, e in letters:
+            if not 1 <= i <= strands - 1:
+                raise ValueError(f"generator index {i} out of range 1..{strands - 1}")
             if e not in (1, -1):
                 raise ValueError("letter exponents must be +1 or -1")
+        init_field(self, "strands", strands)
+        init_field(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

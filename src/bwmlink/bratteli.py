@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import (DELTA, ONE2, X_NUM, LaurentPoly1, LaurentPoly2,
                       Quotient, Specialization, specialize,
                       sums_of_products_equal)
+from .record import Record, init_field
 
 Shape = tuple[int, ...]
 
@@ -177,13 +177,17 @@ def matrix_unit_trace(shape: Shape, f: int) -> Quotient:
 # Bratteli graphs
 
 
-@dataclass(frozen=True)
-class BratteliGraph:
+class BratteliGraph(Record):
     """Leveled graph of shapes with one-box edges and path counts."""
 
-    levels: tuple[tuple[Shape, ...], ...]
-    edges: tuple[tuple[tuple[Shape, Shape], ...], ...]  # per gap, (lower, upper)
-    path_counts: tuple[dict[Shape, int], ...]
+    _fields = ("levels", "edges", "path_counts")
+
+    def __init__(self, levels: tuple[tuple[Shape, ...], ...],
+                 edges: tuple[tuple[tuple[Shape, Shape], ...], ...],
+                 path_counts: tuple[dict[Shape, int], ...]):
+        init_field(self, "levels", levels)
+        init_field(self, "edges", edges)  # per gap, (lower, upper)
+        init_field(self, "path_counts", path_counts)
 
     @property
     def depth(self) -> int:

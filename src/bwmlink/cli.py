@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 import time
 
@@ -255,6 +254,7 @@ def _verify_lemma2(args, report):
             for n in range(1, args.max_n + 1):
                 ok = yb.specialized_weights_equal(shape, n)
                 report(f"lemma2 shape={yb.shape_label(shape)} n={n}", ok)
+    import random  # only this suite needs it: no other command pays its import
     rng = random.Random(args.seed)
     for case in range(args.random_signs):
         size = rng.randint(1, 8)

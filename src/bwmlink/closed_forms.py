@@ -15,20 +15,22 @@ for the skein engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly2, LocalizedPoly,
                       Quotient, loop_value, r_pow)
+from .record import Record, init_field
 
 
-@dataclass(frozen=True)
-class GeneratorPower:
+class GeneratorPower(Record):
     """Coefficients of g^m in the basis {1, g, e}."""
 
-    m: int
-    a: LaurentPoly2
-    b: LaurentPoly2
-    c: LaurentPoly2
+    _fields = ("m", "a", "b", "c")
+
+    def __init__(self, m: int, a: LaurentPoly2, b: LaurentPoly2,
+                 c: LaurentPoly2):
+        init_field(self, "m", m)
+        init_field(self, "a", a)
+        init_field(self, "b", b)
+        init_field(self, "c", c)
 
 
 _ROW_0 = (0, ONE2, ZERO2, ZERO2)

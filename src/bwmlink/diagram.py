@@ -27,8 +27,10 @@ order, so every convention lives in this one module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
+
+from .record import Record, init_field
 
 
 PAR_PAIRS = ((0, 3), (1, 2))
@@ -36,25 +38,27 @@ CAP_PAIRS = ((0, 1), (2, 3))
 STRAIGHT_PAIRS = ((0, 2), (1, 3))
 
 
-class Traversal(NamedTuple):
-    """Strand walk of a diagram from deterministic base points."""
+Traversal = namedtuple("Traversal", "components switch_candidate writhe")
+Traversal.__doc__ = """Strand walk of a diagram from deterministic base points:
+the number of closed strands through crossings, the first crossing met on
+its under-strand (None if there is none), and the writhe, the sum of the
+geometric crossing signs."""
 
-    components: int  # number of closed strands through crossings
-    switch_candidate: int | None  # first crossing met on its under-strand
-    writhe: int  # sum of geometric crossing signs
 
-
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(Record):
     """Immutable closed diagram: crossings, arcs and free loops.
 
     ``crossings`` maps each crossing id to its over bit; ``arcs`` maps each
     half-edge to its partner (a symmetric involution without fixed points).
     """
 
-    crossings: dict[int, int]
-    arcs: dict[int, int]
-    free_loops: int = 0
+    _fields = ("crossings", "arcs", "free_loops")
+
+    def __init__(self, crossings: dict[int, int], arcs: dict[int, int],
+                 free_loops: int = 0):
+        init_field(self, "crossings", crossings)
+        init_field(self, "arcs", arcs)
+        init_field(self, "free_loops", free_loops)
 
     # -- construction helpers -------------------------------------------------
 

@@ -35,8 +35,9 @@ All values are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
+
+from .record import Record, init_field
 
 
 def _power(base, n: int):
@@ -593,8 +594,7 @@ def loop_value() -> LocalizedPoly:
 # quotients
 
 
-@dataclass(frozen=True, eq=False)
-class Quotient:
+class Quotient(Record):
     """num / den of two Laurent polynomials in the same variables.
 
     The denominator must be nonzero.  The pair is stored as given and never
@@ -605,12 +605,13 @@ class Quotient:
     is unhashable.
     """
 
-    num: _Laurent
-    den: _Laurent
+    _fields = ("num", "den")
 
-    def __post_init__(self):
-        if self.den.is_zero:
+    def __init__(self, num: _Laurent, den: _Laurent):
+        if den.is_zero:
             raise ZeroDivisionError("quotient with zero denominator")
+        init_field(self, "num", num)
+        init_field(self, "den", den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Quotient):
@@ -644,19 +645,19 @@ def one_var_equal(u: LaurentPoly1 | Quotient, v: LaurentPoly1 | Quotient) -> boo
 # specializations r -> sign_r * q^(2n), s -> sign_s * q
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(Record):
     """Substitution r -> sign_r * q^(2n), s -> sign_s * q."""
 
-    sign_r: int
-    sign_s: int
-    n: int
+    _fields = ("sign_r", "sign_s", "n")
 
-    def __post_init__(self):
-        if self.sign_r not in (1, -1) or self.sign_s not in (1, -1):
+    def __init__(self, sign_r: int, sign_s: int, n: int):
+        if sign_r not in (1, -1) or sign_s not in (1, -1):
             raise ValueError("signs must be +1 or -1")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be a positive integer")
+        init_field(self, "sign_r", sign_r)
+        init_field(self, "sign_s", sign_s)
+        init_field(self, "n", n)
 
     @staticmethod
     def osp(n: int) -> Specialization:
