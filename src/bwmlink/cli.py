@@ -127,7 +127,14 @@ def cmd_invariant(args) -> int:
         return 2
     engine = SkeinEngine()
     started = time.perf_counter()
-    value = engine.kauffman_polynomial(word)
+    try:
+        value = engine.kauffman_polynomial(word)
+    except RecursionError:
+        # the skein recursion nests a few frames per crossing of a chain
+        print(f"error: the {len(word)}-letter braid word nests the skein "
+              f"recursion past the recursion limit of "
+              f"{sys.getrecursionlimit()} frames", file=sys.stderr)
+        return 2
     if args.spec is not None:
         value = specialize(value, args.spec)
     elapsed = time.perf_counter() - started

@@ -25,6 +25,22 @@ at most one, so a skein step lifts each smoothing's numerator by delta^e,
 builds N = N_switched + state * (delta^e_par N_par - delta^e_cap N_cap)
 as one sum of s-shifted copies in one output dict, with no product.
 
+The mirror image D* of D flips every over bit, and F_{L*}(r, s) =
+F_L(r^-1, s^-1).  On numerators, N(D*) = (-1)^(c-1) N(D)(r^-1, s^-1), with
+the same c.  Sketch, by induction along the recursion: flipping every over
+bit commutes with each move.  ``reduce`` deletes the same crossings; each
+kink's sign flips, r^k -> r^-k, and each poke stays a poke.  Parts and
+smoothings ignore over bits, and D*'s switched child is the mirror of D's.
+At a leaf the writhe negates, and X_NUM(r^-1, s^-1) = -X_NUM gives
+(-1)^(c-1) from X_NUM^(c-1).  (D* is then ascending, which is descending
+for the reversed walk; the value does not depend on the walk.)  A split
+into parts of c_i components carries X_NUM^split, so the signs collect to
+(-1)^(split + sum(c_i - 1)) = (-1)^(c-1).  In a skein step the state
+changes sign and delta(s^-1) = -delta, so a smoothing's term delta^e N_sm,
+e = 1 + c - c_sm, picks up (-1)^(c-1) (-1)^e = -(-1)^(c_sm-1): the step of
+D* at the same crossing, with D*'s state.  The memo keys a part with fewer
+over bits 1 than 0 by its mirror, so a link and its mirror share entries.
+
 The normalized invariant of a braid closure divides out r^(exponent sum);
 it takes the value 1 on the unknot.
 """
@@ -48,11 +64,14 @@ class SkeinEngine:
     the arcs or the over bit at one crossing only, so each child's
     reduction tests just that crossing's neighbours and what its own
     deletions reach: O(change), not O(diagram), per node.
-    Values for equal keys are necessarily equal, so sharing the table across
-    evaluations (or threads) is harmless.  Both are on by default, as
+    A part with fewer over bits 1 than 0 is keyed and stored as its mirror
+    image, its value mapped through the mirror identity of the module
+    docstring; a balanced part is keyed as it is.  So parts with equal keys
+    have equal values up to that recorded mirror, and sharing the table
+    across evaluations (or threads) is harmless.  Both are on by default, as
     measured on the torus corpus T(2, m), 0 < |m| <= 24, and B3 (1 2)^k,
-    k <= 5 (Python 3.11, 2-vCPU Xeon): 0.09 s and 78 entries with the
-    cache, 99 s without it.  Pokes prune most resolution nodes: B4
+    k <= 5 (Python 3.11, 2-vCPU Xeon): 0.016 s and 55 entries with the
+    cache, 26 s without it.  Pokes prune most resolution nodes: B4
     (1 2 3)^4 takes 2.7 s without them and 0.13 s with them.  Turning
     either off is for cross-checks only.
     """
@@ -90,12 +109,17 @@ class SkeinEngine:
         return (r_pow(kink_sum) * num if kink_sum else num), c
 
     def _connected(self, part: PlanarDiagram) -> tuple[LaurentPoly2, int]:
-        key = None
+        key = mirrored = None
         if self._cache is not None:
-            key = part.canonical_key()
+            # a part with fewer over bits 1 than 0 is keyed by its mirror
+            crossings = part.crossings
+            mirrored = 2 * sum(crossings.values()) < len(crossings)
+            key = (PlanarDiagram({c: 1 - o for c, o in crossings.items()},
+                                 part.arcs)
+                   if mirrored else part).canonical_key()
             hit = self._cache.get(key)
             if hit is not None:
-                return hit
+                return _mirror(*hit) if mirrored else hit
         walk = part.traverse()
         c = walk.components
         if walk.switch_candidate is None:
@@ -113,7 +137,7 @@ class SkeinEngine:
                               par_num, 1 + c - par_c, cap_num, 1 + c - cap_c)
         value = (num, c)
         if self._cache is not None:
-            self._cache[key] = value
+            self._cache[key] = _mirror(*value) if mirrored else value
         return value
 
     def kauffman_polynomial(self, b: BraidWord) -> LocalizedPoly:
@@ -122,6 +146,13 @@ class SkeinEngine:
         freely reduced word (each cancelled pair is a Reidemeister II move)."""
         return r_pow(-exponent_sum(b)) * self.regular_isotopy_poly(
             closure_diagram(free_reduce(b)))
+
+
+def _mirror(num: LaurentPoly2, c: int) -> tuple[LaurentPoly2, int]:
+    """The (N, c) pair of the mirror image: (-1)^(c-1) N(r^-1, s^-1), c."""
+    sign = 1 if c % 2 else -1
+    return LaurentPoly2._make({(-a, -b): sign * m
+                               for (a, b), m in num._terms.items()}), c
 
 
 # delta^e for e = 0, 1, 2 as (s-shift, coefficient) pairs

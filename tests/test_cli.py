@@ -67,6 +67,13 @@ class TestInvariant:
         assert err.startswith("error: ") and "digits" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_deep_word_exits_2(self, capsys):
+        # under the letter cap, but the kink chain nests past the limit
+        code, out, err = run(capsys, "invariant", "--braid", "B2: 1^700")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "recursion limit" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_strand_cap_exits_2(self, capsys):
         # rejected before x^199 for the free loops is built
         code, out, err = run(capsys, "invariant", "--braid", "B200:")

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bwmlink.braid import (BraidWord, closure_diagram, conjugate, parse_braid,
-                           stabilize)
+from bwmlink.braid import (BraidWord, closure_diagram, component_count,
+                           conjugate, parse_braid, stabilize)
 from bwmlink.closed_forms import torus2_invariant
 from bwmlink.diagram import PlanarDiagram
 from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly2, LocalizedPoly,
@@ -191,6 +191,9 @@ class TestCacheKeys:
             for d in diagrams:
                 engine.regular_isotopy_poly(d)
         assert {part.canonical_key() for part in keyed} == set(engine._cache)
+        # a part with fewer over bits 1 than 0 is keyed by its mirror image
+        for part in keyed:
+            assert 2 * sum(part.crossings.values()) >= part.crossing_count
         return keyed
 
     @staticmethod
@@ -217,6 +220,18 @@ class TestCacheKeys:
         assert keyed
         self.assert_reduced(keyed)
 
+    def test_minority_part_keyed_by_its_mirror(self):
+        d = closure_diagram(parse_braid("B2: -1 -1 -1"))
+        keyed = self.keyed_parts(SkeinEngine(), [d])
+        assert keyed[0].arcs is d.arcs
+        assert keyed[0].crossings == {c: 1 - o for c, o in d.crossings.items()}
+
+    def test_balanced_part_keyed_unmirrored(self):
+        d = closure_diagram(parse_braid("B3: 1 -2 1 -2"))
+        assert d.reduce() == (d, 0)
+        assert 2 * sum(d.crossings.values()) == d.crossing_count
+        assert self.keyed_parts(SkeinEngine(), [d])[0] is d
+
     def test_without_pokes_keyed_parts_are_kink_free(self):
         d = closure_diagram(parse_braid("B3: 1 2 -2 -1 1 2 1"))
         keyed = self.keyed_parts(SkeinEngine(use_poke_reduction=False), [d])
@@ -224,6 +239,10 @@ class TestCacheKeys:
                    for part in keyed)
         for part in keyed:
             assert part.reduce(pokes=False) == (part, 0)
+
+
+def mirror_word(w: BraidWord) -> BraidWord:
+    return BraidWord(w.strands, tuple((i, -e) for i, e in w.letters))
 
 
 def invert_vars(v: LocalizedPoly) -> LocalizedPoly:
@@ -241,12 +260,15 @@ class TestClassicalIdentities:
     MIRROR_WORDS = ["B2: 1 1 1", "B3: 1 2 1 2", "B3: 1 -2 1 -2",
                     "B4: 1 2 3 1 2 3", "B3: 1 1 2 -1 2"]
 
+    # The mirror side is evaluated without a cache: a cached engine would
+    # answer it from the entry of w, through the identity checked here.
+
     def test_mirror_inverts_variables(self):
         eng = SkeinEngine()
         for text in self.MIRROR_WORDS:
             w = parse_braid(text)
-            mirror = BraidWord(w.strands, tuple((i, -e) for i, e in w.letters))
-            assert (eng.kauffman_polynomial(mirror)
+            assert (SkeinEngine(use_cache=False).kauffman_polynomial(
+                        mirror_word(w))
                     == invert_vars(eng.kauffman_polynomial(w))), text
 
     def test_word_reversal_invariance(self):
@@ -271,10 +293,8 @@ class TestClassicalIdentities:
     @given(small_words(max_strands=4, max_len=6))
     @settings(max_examples=20, deadline=None)
     def test_mirror_random(self, w):
-        eng = SkeinEngine()
-        mirror = BraidWord(w.strands, tuple((i, -e) for i, e in w.letters))
-        assert (eng.kauffman_polynomial(mirror)
-                == invert_vars(eng.kauffman_polynomial(w)))
+        assert (SkeinEngine(use_cache=False).kauffman_polynomial(mirror_word(w))
+                == invert_vars(SkeinEngine().kauffman_polynomial(w)))
 
     def test_relabeled_diagram_same_value(self):
         # identical abstract diagram, different ids, different recursion order
@@ -284,6 +304,53 @@ class TestClassicalIdentities:
             d = closure_diagram(parse_braid(text))
             assert (eng.regular_isotopy_poly(relabeled(d, seed=99))
                     == eng.regular_isotopy_poly(d))
+
+
+class TestMirrorSharing:
+    """A part and its mirror image share one cache entry, mapped through
+    N(D*) = (-1)^(c-1) N(D)(r^-1, s^-1)."""
+
+    @staticmethod
+    def assert_mirror_from_cache(w):
+        # on unreduced closures, so cancelling pairs reach the recursion
+        d = closure_diagram(mirror_word(w))
+        eng = SkeinEngine()
+        eng.regular_isotopy_poly(closure_diagram(w))
+        assert (eng.regular_isotopy_poly(d)
+                == SkeinEngine(use_cache=False).regular_isotopy_poly(d))
+
+    @given(small_words(max_strands=4, max_len=7))
+    @settings(max_examples=30, deadline=None)
+    def test_mirror_after_word(self, w):
+        self.assert_mirror_from_cache(w)
+
+    @given(small_words(max_strands=3, max_len=6, min_len=2)
+           .filter(lambda w: component_count(w) >= 2))
+    @settings(max_examples=30, deadline=None)
+    def test_mirror_of_link(self, w):
+        # a part with an even component count has its entry negated
+        self.assert_mirror_from_cache(w)
+
+    def test_torus_mirror_adds_no_entries(self):
+        eng = SkeinEngine()
+        for m in range(1, 25):
+            eng.kauffman_polynomial(BraidWord(2, ((1, 1),) * m))
+            size = eng.cache_size
+            value = eng.kauffman_polynomial(BraidWord(2, ((1, -1),) * m))
+            assert eng.cache_size == size, m
+            assert value == torus2_invariant(-m), m
+
+    def test_torus_corpus_entries(self):
+        # T(2, m), 0 < |m| <= 24, then B3 (1 2)^k, k = 2..5; 78 entries
+        # when a part and its mirror were keyed apart
+        eng = SkeinEngine()
+        for m in range(-24, 25):
+            if m:
+                eng.kauffman_polynomial(
+                    BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m)))
+        for k in range(2, 6):
+            eng.kauffman_polynomial(BraidWord(3, ((1, 1), (2, 1)) * k))
+        assert eng.cache_size == 55
 
 
 class TestFreeReduction:
