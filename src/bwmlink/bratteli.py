@@ -15,6 +15,10 @@ box by box: a diagonal box (j,j) contributes
 with h the hook length, and an off-diagonal box (i,j) contributes
 (r s^d - r^-1 s^-d) / (s^h - s^-h) with d the axial statistic below.  The
 weight of the empty shape is 1.
+
+Every weight satisfies the n-free identity W(-r, -s) = W(r, s) (the
+paper's sign lemma, see ``specialized_weights_equal``), so its osp(1|2n)
+and so(2n+1) specializations agree for every n: the paper's Lemma 2.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ import json
 from collections import Counter
 from functools import lru_cache
 
-from .laurent import (DELTA, ONE2, X_NUM, LaurentPoly1, LaurentPoly2,
-                      Quotient, Specialization, specialize,
-                      sums_of_products_equal)
+from .laurent import (DELTA, ONE2, X_NUM, LaurentPoly2, Quotient,
+                      Specialization, specialize, sums_of_products_equal)
 from .record import Record, init_field
 
 Shape = tuple[int, ...]
@@ -249,14 +252,16 @@ def truncation_rule(shape: Shape, n: int) -> bool:
 
 
 def specialized_weight_nonzero(shape: Shape, spec: Specialization) -> bool:
-    """Whether the specialized trace weight is nonzero (the numerator does
-    not specialize to the zero polynomial in q)."""
-    w = trace_weight(shape)
-    num = specialize(w.num, spec)
-    den = specialize(w.den, spec)
-    if den.is_zero:
-        raise ZeroDivisionError("specialized weight denominator vanished")
-    return not num.is_zero
+    """Whether the specialized trace weight is nonzero: specialization is a
+    ring homomorphism into the integral domain Z[q, q^-1], so it is zero
+    exactly when one box factor's image is.  The image of s^h - s^-h,
+    +-(q^h - q^-h), vanishes only for h = 0, which raises."""
+    nonzero = True
+    for factor, hook in _box_factors(shape):
+        if not hook:
+            raise ZeroDivisionError("specialized weight denominator vanished")
+        nonzero = nonzero and not specialize(factor, spec).is_zero
+    return nonzero
 
 
 def _one_box_smaller(shape: Shape) -> list[Shape]:
@@ -366,44 +371,33 @@ def enumerate_paths(graph: BratteliGraph, shape: Shape,
 
 
 def specialized_weights_equal(shape: Shape, n: int) -> bool:
-    """Whether the two specializations r -> -q^(2n), s -> q and
-    r -> q^(2n), s -> -q give the same weight, by cross-multiplication.
+    """Whether r -> -q^(2n), s -> q (osp) and r -> q^(2n), s -> -q (so) give
+    the same weight, decided from the term parities of the box factors.
 
-    Specialization is a ring homomorphism, so the specialized numerator
-    and denominator are the products of the specialized box factors and
-    of the specialized (s^h - s^-h); the two-variable weight is never
-    built.  The check is then num_osp * den_so == num_so * den_osp, in
-    full: no sign rule is assumed.  Both sides stay unexpanded products of
-    specialized factors, compared exactly by ``sums_of_products_equal``.
-    Each distinct box factor and each s^h - s^-h is specialized once per n
-    and kept in a module-level cache.
+    osp sends r^a s^b to (-1)^a q^(2na+b) and so to (-1)^b q^(2na+b), so a
+    factor whose terms all have a + b = p (mod 2) has so image (-1)^p times
+    its osp image, for every n; s^h - s^-h has parity h.  With flip the
+    product over boxes of (-1)^(p + h), that is W(-r, -s) / W(r, s),
+    num_osp den_so - num_so den_osp = (-1)^(sum h) (1 - flip) num_osp den_osp.
+    den_osp is a product of nonzero q^h - q^-h (h >= 1) in the integral
+    domain Z[q, q^-1], so the weights agree exactly when flip = +1 or the
+    osp weight is zero.
+
+    flip = offdiag_sign * split_sign, which the paper's sign lemma makes
+    +1: an off-diagonal factor r s^d - r^-1 s^-d has parity d + 1, and
+    d + h = row_j + col_j above the diagonal, row_i + col_i below it
+    (mod 2); a diagonal factor has the parity of its hook.  A factor whose
+    terms mix parities raises ValueError; ``_box_factors`` builds none.
     """
-    lhs: list[LaurentPoly1] = []  # num_osp * den_so
-    rhs: list[LaurentPoly1] = []  # num_so * den_osp
+    flip = 0
     for factor, hook in _box_factors(shape):
-        num_osp, num_so = _images(tuple(factor._terms.items()), n)
-        den_osp, den_so = _hook_images(hook, n)
-        lhs += num_osp, den_so
-        rhs += num_so, den_osp
-    return sums_of_products_equal([tuple(lhs)], [tuple(rhs)])
-
-
-@lru_cache(maxsize=None)
-def _images(items, n: int) -> tuple[LaurentPoly1, LaurentPoly1]:
-    """The osp(n) and so(n) images of the polynomial with these terms.
-
-    Keyed on the term items and n, not on the polynomial and the
-    ``Specialization``: their hashes cost about as much as the
-    specialization itself."""
-    poly = LaurentPoly2(dict(items))
-    return (specialize(poly, Specialization.osp(n)),
-            specialize(poly, Specialization.so(n)))
-
-
-@lru_cache(maxsize=None)
-def _hook_images(h: int, n: int) -> tuple[LaurentPoly1, LaurentPoly1]:
-    """The osp(n) and so(n) images of s^h - s^-h."""
-    return _images(tuple(_gap(0, h)._terms.items()), n)
+        parities = {(a + b) & 1 for a, b in factor._terms}
+        if len(parities) > 1:
+            raise ValueError(
+                f"a box factor of shape {list(shape)} mixes term parities")
+        flip ^= sum(parities) ^ hook
+    return (not flip & 1
+            or not specialized_weight_nonzero(shape, Specialization.osp(n)))
 
 
 # ---------------------------------------------------------------------------

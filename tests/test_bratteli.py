@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import bwmlink.bratteli as yb
 from bwmlink import laurent
-from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly2, RationalFn2,
-                             Specialization, loop_value, quantum_dimension,
-                             r_pow, s_pow, specialize)
+from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly2, Quotient,
+                             RationalFn2, Specialization, loop_value,
+                             quantum_dimension, r_pow, s_pow, specialize)
 
 
 @st.composite
@@ -269,6 +269,34 @@ def cross_multiplied_weights_equal(shape, n):
             - specialize(w.num, so) * specialize(w.den, osp)).is_zero
 
 
+def expanded_weight_nonzero(shape, spec):
+    """Oracle: specialize the expanded numerator and denominator."""
+    w = yb.trace_weight(shape)
+    if specialize(w.den, spec).is_zero:
+        raise ZeroDivisionError("specialized weight denominator vanished")
+    return not specialize(w.num, spec).is_zero
+
+
+def parity_sign(box_factors):
+    """The product over boxes of (-1)^(p + h), with p the common parity of
+    a + b over the terms r^a s^b of the box factor and h its hook length."""
+    sign = 1
+    for factor, hook in box_factors:
+        (parity,) = {(a + b) % 2 for a, b, _ in factor.terms()}
+        sign *= (-1) ** (parity + hook)
+    return sign
+
+
+def times_r(real):
+    """The box factors of ``real`` with the last-row-index box (in box
+    order) multiplied by r: its parity flips, its hook length is kept."""
+    def patched(shape):
+        for index, (factor, hook) in enumerate(real(shape)):
+            yield (factor * r_pow(1) if index == len(shape) - 1
+                   else factor), hook
+    return patched
+
+
 class TestNeighbourEdges:
     def test_generic_matches_all_pairs(self):
         for depth in range(0, 11):
@@ -312,7 +340,7 @@ class TestNeighbourEdges:
 
 class TestWeightsEqualByFactors:
     def test_matches_cross_multiplied_weight(self):
-        # n = 4..6 widens the q-spans and the bit widths of the check
+        # n = 4..6: the parities decide every n alike
         for max_size, ns in ((9, (1, 2, 3)), (6, (4, 5, 6))):
             for size in range(0, max_size + 1):
                 for shape in yb.young_level(size):
@@ -328,20 +356,43 @@ class TestWeightsEqualByFactors:
                  for shape in yb.young_level(size) for n in (1, 2, 3)
                  if yb.specialized_weight_nonzero(shape, Specialization.osp(n))]
         assert len(cases) > 100
-        real = yb._box_factors
-
-        def times_r(shape):
-            for index, (factor, hook) in enumerate(real(shape)):
-                yield (factor * r_pow(1) if index == len(shape) - 1
-                       else factor), hook
-
-        monkeypatch.setattr(yb, "_box_factors", times_r)
+        monkeypatch.setattr(yb, "_box_factors", times_r(yb._box_factors))
         for shape, n in cases:
             assert not yb.specialized_weights_equal(shape, n), (shape, n)
 
-    def test_each_factor_specialized_once(self, monkeypatch):
-        # one sweep from empty caches specializes each distinct box factor
-        # and each s^h - s^-h at most once per specialization
+    def test_factor_times_r_matches_cross_multiplied(self, monkeypatch):
+        # every nonempty shape has flip = -1 under the mutant; the zero
+        # weights among them must still read equal, as the oracle (which
+        # reads the patched factors through trace_weight) says
+        monkeypatch.setattr(yb, "_box_factors", times_r(yb._box_factors))
+        zero_weights = 0
+        for size in range(0, 8):
+            for shape in yb.young_level(size):
+                for n in (1, 2, 3):
+                    got = yb.specialized_weights_equal(shape, n)
+                    assert got == cross_multiplied_weights_equal(shape, n), (
+                        shape, n)
+                    zero_weights += bool(shape) and got
+        assert zero_weights > 10
+
+    def test_mixed_parity_factor_raises(self, monkeypatch):
+        # the constant 1 has even parity: added to an odd factor it mixes
+        real = yb._box_factors
+        shape = (2, 1)
+        odd = next(index for index, (factor, _) in enumerate(real(shape))
+                   if parity_sign([(factor, 0)]) == -1)
+
+        def mixed(s):
+            return tuple((factor + ONE2 if index == odd else factor, hook)
+                         for index, (factor, hook) in enumerate(real(s)))
+
+        monkeypatch.setattr(yb, "_box_factors", mixed)
+        with pytest.raises(ValueError, match=r"\[2, 1\]"):
+            yb.specialized_weights_equal(shape, 1)
+
+    def test_sweep_specializes_nothing(self, monkeypatch):
+        # one sweep from empty caches decides every case from the factor
+        # parities alone
         calls = []
         real = laurent.specialize
 
@@ -354,17 +405,29 @@ class TestWeightsEqualByFactors:
         for value in vars(yb).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
-        pairs = set()
         for size in range(10):
             for shape in yb.young_level(size):
                 for n in (1, 2, 3):
                     assert yb.specialized_weights_equal(shape, n), (shape, n)
-                    for factor, hook in yb._box_factors(shape):
-                        for spec in (Specialization.osp(n),
-                                     Specialization.so(n)):
-                            pairs |= {(factor, spec), (yb._gap(0, hook), spec)}
-        assert len(pairs) == 414
-        assert len(calls) <= len(pairs)
+        assert calls == []
+
+
+class TestNFreeLemma2:
+    def test_weight_invariant_under_sign_flip(self):
+        # W(-r, -s) = W(r, s) as a two-variable identity
+        for size in range(0, 8):
+            for shape in yb.young_level(size):
+                w = yb.trace_weight(shape)
+                assert Quotient(w.num.flip_vars(), w.den.flip_vars()) == w, (
+                    shape)
+
+    def test_parity_sign_is_sign_lemma(self):
+        for size in range(0, 11):
+            for shape in yb.young_level(size):
+                sign = parity_sign(yb._box_factors(shape))
+                assert sign == yb.offdiag_sign(shape) * yb.split_sign(shape), (
+                    shape)
+                assert sign == 1, shape
 
 
 class TestGraph:
@@ -450,11 +513,20 @@ class TestTruncation:
         assert not yb.survives_truncation((2, 1, 1, 1), spec)
 
     def test_vanished_weight_denominator_raises(self, monkeypatch):
-        # r + s^2 -> -q^2 + q^2 under osp:1
-        weight = RationalFn2(LaurentPoly2.const(1), r_pow(1) + s_pow(2))
-        monkeypatch.setattr(yb, "trace_weight", lambda shape: weight)
+        # a hook length of 0: s^0 - s^-0 is 0 under every specialization
+        factor, _ = yb._box_factors((1,))[0]
+        monkeypatch.setattr(yb, "_box_factors", lambda shape: ((factor, 0),))
         with pytest.raises(ZeroDivisionError):
             yb.specialized_weight_nonzero((1,), Specialization.osp(1))
+
+    def test_nonzero_by_factors_matches_expansion(self):
+        for size in range(0, 9):
+            for shape in yb.young_level(size):
+                for n in (1, 2, 3):
+                    for spec in (Specialization.osp(n), Specialization.so(n)):
+                        assert (yb.specialized_weight_nonzero(shape, spec)
+                                == expanded_weight_nonzero(shape, spec)), (
+                                    shape, spec)
 
     def test_truncated_level_sets_frozen(self):
         for spec in (Specialization.osp(1), Specialization.so(1)):
