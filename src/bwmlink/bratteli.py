@@ -150,10 +150,10 @@ def _box_factors(shape: Shape) -> tuple[tuple[LaurentPoly2, int], ...]:
 
 @lru_cache(maxsize=None)
 def _gap(k: int, e: int) -> LaurentPoly2:
-    """r^k s^e - r^-k s^-e, shared by every box that has it as a factor:
-    s^h - s^-h (k = 0) is the denominator factor of a box with hook length
-    h, r s^d - r^-1 s^-d (k = 1) the numerator of a box off the diagonal."""
-    return LaurentPoly2({(k, e): 1, (-k, -e): -1})
+    """r^k s^e - r^-k s^-e, 0 if k = e = 0: s^h - s^-h (k = 0) is the
+    denominator factor of a box with hook length h, r s^d - r^-1 s^-d
+    (k = 1) the numerator of a box off the diagonal; boxes share them."""
+    return LaurentPoly2({(k, e): 1, (-k, -e): -1} if k or e else {})
 
 
 def trace_weight(shape: Shape) -> Quotient:
@@ -209,7 +209,11 @@ def _level_shapes(k: int, n: int | None) -> tuple[Shape, ...]:
 @lru_cache(maxsize=None)
 def _level_edges(k: int, n: int | None) -> tuple[tuple[Shape, Shape], ...]:
     """The one-box edges from level k to level k + 1, lower shape first,
-    then upper-level order."""
+    then upper-level order.  A truncation, an induced subgraph on
+    subsequences of the levels, keeps the generic edges between its shapes."""
+    if n is not None:
+        keep = {*_level_shapes(k, n), *_level_shapes(k + 1, n)}
+        return tuple(e for e in _level_edges(k, None) if keep.issuperset(e))
     upper = _level_shapes(k + 1, n)
     position = {s: idx for idx, s in enumerate(upper)}
     gap: list[tuple[Shape, Shape]] = []
@@ -221,6 +225,19 @@ def _level_edges(k: int, n: int | None) -> tuple[tuple[Shape, Shape], ...]:
     return tuple(gap)
 
 
+@lru_cache(maxsize=None)
+def _level_counts(k: int, n: int | None) -> dict[Shape, int]:
+    """Path counts on level k; ``_build_graph`` fills the levels bottom-up,
+    so level k - 1 is cached already.  Shared: hand out copies only."""
+    if not k:
+        return {(): 1}
+    below, counts = _level_counts(k - 1, n), dict.fromkeys(
+        _level_shapes(k, n), 0)
+    for lo, hi in _level_edges(k - 1, n):
+        counts[hi] += below[lo]
+    return counts
+
+
 def _build_graph(depth: int, n: int | None = None) -> BratteliGraph:
     """The graph to ``depth``, truncated at rank n unless n is None; levels
     and edges are shared between calls, path counts are fresh dicts."""
@@ -228,13 +245,8 @@ def _build_graph(depth: int, n: int | None = None) -> BratteliGraph:
         raise ValueError("negative depth")
     levels = tuple(_level_shapes(k, n) for k in range(depth + 1))
     edges = tuple(_level_edges(k, n) for k in range(depth))
-    counts: list[dict[Shape, int]] = [{(): 1}]
-    for gap, upper in zip(edges, levels[1:]):
-        below, level_counts = counts[-1], dict.fromkeys(upper, 0)
-        for lo, hi in gap:
-            level_counts[hi] += below[lo]
-        counts.append(level_counts)
-    return BratteliGraph(levels, edges, tuple(counts))
+    counts = tuple(dict(_level_counts(k, n)) for k in range(depth + 1))
+    return BratteliGraph(levels, edges, counts)
 
 
 def generic_bratteli(depth: int) -> BratteliGraph:

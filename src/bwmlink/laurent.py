@@ -384,6 +384,12 @@ def sums_of_products_equal(lhs, rhs) -> bool:
     Each product is shifted back by the sum of its factors' shifts, less
     the smallest such sum, before the two sides' totals are compared.
 
+    Order.  Multiplying a w-digit v by a factor of t terms and flattened
+    span sigma costs t shifted copies and widens v by sigma, so factor i
+    just before factor j costs t_j sigma_i - t_i sigma_j more than just
+    after it: factors go in by ascending sigma / t (Smith's rule, W. E.
+    Smith 1956).  B and W come from the factors alone, not from the order.
+
     Why this is exact.  The substitution is a ring homomorphism, so the
     totals differ by D(B) times a power of B, which is 0 when D = 0.  If
     D is nonzero, let c B^e be its lowest nonzero term after substitution:
@@ -407,10 +413,10 @@ def sums_of_products_equal(lhs, rhs) -> bool:
                 bound += norm
     if not products:
         return True
-    flats = None
+    distinct = {id(f): f for _, t in products for f in t}
+    flats = {i: f._terms for i, f in distinct.items()}
     if cls is LaurentPoly2:
         # each distinct factor's s-degree range, then its flattened terms
-        distinct = {id(f): f for _, t in products for f in t}
         spans = {i: (min(b for _, b in f._terms), max(b for _, b in f._terms))
                  for i, f in distinct.items()}
         low = min(sum(spans[id(f)][0] for f in t) for _, t in products)
@@ -418,13 +424,15 @@ def sums_of_products_equal(lhs, rhs) -> bool:
         width = high - low + 1
         flats = {i: {width * a + b: c for (a, b), c in f._terms.items()}
                  for i, f in distinct.items()}
+    span_per_term = {i: (max(terms) - min(terms)) / len(terms)
+                     for i, terms in flats.items()}
 
     bits = bound.bit_length()
     shifted = []  # (value at B, exponent of B to multiply it by)
     for sign, t in products:
         value, shift = sign, 0
-        for f in t:
-            terms = flats[id(f)] if flats else f._terms
+        for i in sorted(map(id, t), key=span_per_term.__getitem__):
+            terms = flats[i]
             lo = min(terms)
             total = 0
             for e, c in terms.items():

@@ -105,6 +105,12 @@ class TestTraceWeight:
         with pytest.raises(ValueError):
             yb.matrix_unit_trace((1,), 2)
 
+    def test_zero_gap_is_zero(self):
+        # s^0 - s^-0: both terms have the key (0, 0) and cancel
+        assert yb._gap(0, 0).is_zero
+        with pytest.raises(ZeroDivisionError):
+            Quotient(ONE2, yb._gap(0, 0))
+
 
 def box_by_box_weight(shape):
     """Oracle: the weight as the product of its per-box factors, with hook
@@ -312,9 +318,10 @@ class TestNeighbourEdges:
 
     def test_shared_levels_match_reference(self):
         # every graph kind and depth, in an order that leaves the level
-        # caches partly filled by other kinds and deeper graphs
+        # caches partly filled by other kinds and deeper graphs; from n = 5
+        # on, every truncation to depth 10 keeps the whole generic graph
         calls = [(spec, depth) for spec in (None, *(
-                     make(n) for n in (1, 2, 3)
+                     make(n) for n in range(1, 9)
                      for make in (Specialization.osp, Specialization.so)))
                  for depth in range(11)]
         random.Random(20261018).shuffle(calls)
@@ -330,6 +337,26 @@ class TestNeighbourEdges:
             graph.path_counts[2].clear()
             again, want = graph_and_reference(spec, 5)
             assert again == want, spec
+
+    def test_path_counts_fill_one_level_at_a_time(self, monkeypatch):
+        # each level's counts are summed from the cached level below, so
+        # building a graph from cold caches nests at most two count calls
+        cached, nesting = yb._level_counts, [0, 0]  # current, deepest
+
+        def tracked(k, n):
+            nesting[0] += 1
+            nesting[1] = max(nesting)
+            try:
+                return cached(k, n)
+            finally:
+                nesting[0] -= 1
+
+        cached.cache_clear()
+        monkeypatch.setattr(yb, "_level_counts", tracked)
+        for spec in (None, Specialization.osp(2)):
+            got, want = graph_and_reference(spec, 10)
+            assert got == want, spec
+        assert nesting == [0, 2]
 
     def test_negative_depth_raises(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,19 @@ class TestInvariant:
         assert doc["schema"] == 1
         assert doc["value"]["variables"] == ["r", "s"]
 
+    @pytest.mark.parametrize("braid", ["B3: 1 2 1", "B4: 1 -2 3 -2",
+                                       "B3: 2 2 1 -2 1", "B4: 2 3 2 -1"])
+    def test_osp_and_so_values_agree(self, capsys, braid):
+        # the paper's corollary, as printed: equal values for osp:n, so:n
+        for n in (1, 2, 3):
+            values = []
+            for spec in (f"osp:{n}", f"so:{n}"):
+                code, out, _ = run(capsys, "invariant", "--braid", braid,
+                                   "--spec", spec, "--format", "json")
+                assert code == 0
+                values.append(json.loads(out)["value"])
+            assert values[0] == values[1], (braid, n)
+
     def test_parse_error_exits_2(self, capsys):
         code, out, err = run(capsys, "invariant", "--braid", "B2: 7")
         assert code == 2

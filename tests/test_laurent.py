@@ -1,4 +1,5 @@
 import inspect
+import random
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -624,6 +625,24 @@ class TestSumsOfProductsEqual:
                                       derandomize=True,
                                       phases=[Phase.generate]))
         assert agrees(sums_of_products_equal, case)
+
+    @given(st.one_of(sides(), mixed_sides(), unit_sides(), scaled_sides()),
+           st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_order_does_not_matter(self, case, seed):
+        # the kernel picks its own factor order; any order it is handed in,
+        # of factors within a product or of products within a side, gives
+        # the same answer
+        lhs, rhs, one = case
+        rng = random.Random(seed)
+
+        def shuffled(side):
+            out = [tuple(rng.sample(t, len(t))) for t in side]
+            rng.shuffle(out)
+            return out
+
+        expected = expand(lhs, one) == expand(rhs, one)
+        assert sums_of_products_equal(shuffled(lhs), shuffled(rhs)) is expected
 
     def test_edge_cases(self):
         q = LaurentPoly1.term(1, 1)

@@ -559,6 +559,18 @@ class TestSpecializedInvariants:
         from bwmlink.skein import osp_invariant
         assert osp_invariant(parse_braid("B2:"), 1) == quantum_dimension(1)
 
+    def test_corpus_specializations_agree(self):
+        # the paper's corollary beyond T(2, m): osp(1|2n) and so(2n+1) give
+        # the same invariant on the Markov and braid-relation corpora
+        from bwmlink.cli import BRAID_RELATION_CORPUS, MARKOV_CORPUS
+        from bwmlink.skein import osp_invariant, so_invariant
+        engine = SkeinEngine()
+        for text in MARKOV_CORPUS + BRAID_RELATION_CORPUS:
+            b = parse_braid(text)
+            for n in (1, 2, 3):
+                assert (osp_invariant(b, n, engine)
+                        == so_invariant(b, n, engine)), (text, n)
+
     def test_torus_family_specializations_agree(self):
         from bwmlink.laurent import Specialization, one_var_equal, specialize
         for m in range(-4, 7):
