@@ -27,8 +27,8 @@ import json
 from collections import Counter
 from functools import lru_cache
 
-from .laurent import (DELTA, ONE2, X_NUM, LaurentPoly2, Quotient,
-                      Specialization, specialize, sums_of_products_equal)
+from .laurent import (ONE2, X_NUM, LaurentPoly2, Quotient, Specialization,
+                      specialize, sums_of_products_equal)
 from .record import Record, init_field
 
 Shape = tuple[int, ...]
@@ -99,36 +99,23 @@ def differ_by_one_box(a: Shape, b: Shape) -> bool:
 # box statistics and trace weights
 
 
-def _check_box(shape: Shape, i: int, j: int) -> None:
-    if not (1 <= i <= len(shape) and 1 <= j <= shape[i - 1]):
-        raise ValueError(f"box ({i}, {j}) outside shape {list(shape)}")
+def _at(lengths: Shape, k: int) -> int:
+    """Length k (1-indexed) of a shape or of its conjugate, 0 past the end:
+    row k, or column k."""
+    return lengths[k - 1] if k <= len(lengths) else 0
 
 
 def _hook(shape: Shape, conj: Shape, i: int, j: int) -> int:
+    """Arm + leg + 1 of the box (i, j)."""
     return shape[i - 1] - i + conj[j - 1] - j + 1
 
 
 def _axial(shape: Shape, conj: Shape, i: int, j: int) -> int:
+    """Axial statistic of the box (i, j): row_i + row_j - i - j + 1 on or
+    above the diagonal, -(col_i + col_j) + i + j - 1 below it."""
     if i <= j:
-        row_i = shape[i - 1]
-        row_j = shape[j - 1] if j <= len(shape) else 0
-        return row_i + row_j - i - j + 1
-    col_i = conj[i - 1] if i <= len(conj) else 0
-    col_j = conj[j - 1]
-    return -col_i - col_j + i + j - 1
-
-
-def hook_length(shape: Shape, i: int, j: int) -> int:
-    """Arm + leg + 1 of the 1-indexed box (i, j)."""
-    _check_box(shape, i, j)
-    return _hook(shape, conjugate(shape), i, j)
-
-
-def d_stat(shape: Shape, i: int, j: int) -> int:
-    """Axial statistic of the box (i, j): row_i + row_j - i - j + 1 above the
-    diagonal, -(col_i + col_j) + i + j - 1 below it."""
-    _check_box(shape, i, j)
-    return _axial(shape, conjugate(shape), i, j)
+        return _at(shape, i) + _at(shape, j) - i - j + 1
+    return -_at(conj, i) - _at(conj, j) + i + j - 1
 
 
 @lru_cache(maxsize=None)
@@ -166,14 +153,6 @@ def trace_weight(shape: Shape) -> Quotient:
     for factor, hook in _box_factors(shape):
         num, den = num * factor, den * _gap(0, hook)
     return Quotient(num, den)
-
-
-def matrix_unit_trace(shape: Shape, f: int) -> Quotient:
-    """Trace of a diagonal matrix unit at level f: weight(shape) / x^f."""
-    if shape not in bmw_level(f):
-        raise ValueError(f"shape {list(shape)} is not on level {f}")
-    w = trace_weight(shape)
-    return Quotient(w.num * DELTA**f, w.den * X_NUM**f)
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +405,13 @@ def split_sign(shape: Shape) -> int:
     """Product over boxes above the diagonal of (-1)^(col_j + row_j) and
     below the diagonal of (-1)^(row_i + col_i), by direct enumeration."""
     conj = conjugate(shape)
-
-    def row(k: int) -> int:
-        return shape[k - 1] if k <= len(shape) else 0
-
-    def col(k: int) -> int:
-        return conj[k - 1] if k <= len(conj) else 0
-
     sign = 1
     for i, j in boxes(shape):
         if i < j:
-            if (col(j) + row(j)) % 2:
+            if (_at(conj, j) + _at(shape, j)) % 2:
                 sign = -sign
         elif i > j:
-            if (row(i) + col(i)) % 2:
+            if (_at(shape, i) + _at(conj, i)) % 2:
                 sign = -sign
     return sign
 
@@ -447,11 +419,12 @@ def split_sign(shape: Shape) -> int:
 def border_boxes(shape: Shape, k: int) -> tuple[list, list]:
     """The horizontal and vertical box sets of index k: boxes (k, j) with
     j <= min(k-1, row_k) and boxes (i, k) with i <= min(k-1, col_k)."""
-    conj = conjugate(shape)
-    row_k = shape[k - 1] if k <= len(shape) else 0
-    col_k = conj[k - 1] if k <= len(conj) else 0
-    hor = [(k, j) for j in range(1, min(k - 1, row_k) + 1)]
-    ver = [(i, k) for i in range(1, min(k - 1, col_k) + 1)]
+    return _border(shape, conjugate(shape), k)
+
+
+def _border(shape: Shape, conj: Shape, k: int) -> tuple[list, list]:
+    hor = [(k, j) for j in range(1, min(k - 1, _at(shape, k)) + 1)]
+    ver = [(i, k) for i in range(1, min(k - 1, _at(conj, k)) + 1)]
     return hor, ver
 
 
@@ -459,9 +432,8 @@ def border_sign_identity(shape: Shape, k: int) -> bool:
     """Local sign identity at index k: (-1)^(|hor| + |ver|) equals the
     product over those boxes of (-1)^(row_k + col_k)."""
     conj = conjugate(shape)
-    row_k = shape[k - 1] if k <= len(shape) else 0
-    col_k = conj[k - 1] if k <= len(conj) else 0
-    hor, ver = border_boxes(shape, k)
+    row_k, col_k = _at(shape, k), _at(conj, k)
+    hor, ver = _border(shape, conj, k)
     lhs = -1 if (len(hor) + len(ver)) % 2 else 1
     rhs = 1
     for _ in ver:

@@ -18,8 +18,7 @@ from . import bratteli as yb
 from .braid import (BraidParseError, BraidWord, component_count,
                     exponent_sum, isotopy_moves, parse_braid)
 from .closed_forms import parity_check, symmetry_check, torus2_invariant
-from .laurent import (LaurentPoly1, LocalizedPoly, Quotient,
-                      Specialization, specialize)
+from .laurent import LaurentPoly1, LocalizedPoly, Specialization, specialize
 from .skein import SkeinEngine
 
 DEPTH_CAP = 8  # cap on Bratteli depths and verify --max-f, --max-size, --max-n
@@ -88,10 +87,8 @@ def _value_json(value):
         return {"num": value.num.to_lists(), "den_power": value.k,
                 "variables": ["r", "s"]}
     if isinstance(value, LaurentPoly1):
+        # a specialized engine value is never a Quotient: see ``skein``
         return {"terms": value.to_lists(), "variables": ["q"]}
-    if isinstance(value, Quotient):
-        return {"num": value.num.to_lists(), "den": value.den.to_lists(),
-                "variables": ["q"]}
     raise TypeError(f"unexpected value type {type(value).__name__}")
 
 

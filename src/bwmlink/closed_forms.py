@@ -15,22 +15,8 @@ for the skein engine.
 
 from __future__ import annotations
 
-from .laurent import (DELTA, ONE2, X_NUM, ZERO2, LaurentPoly2, LocalizedPoly,
-                      Quotient, loop_value, r_pow)
-from .record import Record, init_field
-
-
-class GeneratorPower(Record):
-    """Coefficients of g^m in the basis {1, g, e}."""
-
-    _fields = ("m", "a", "b", "c")
-
-    def __init__(self, m: int, a: LaurentPoly2, b: LaurentPoly2,
-                 c: LaurentPoly2):
-        init_field(self, "m", m)
-        init_field(self, "a", a)
-        init_field(self, "b", b)
-        init_field(self, "c", c)
+from .laurent import (DELTA, ONE2, ZERO2, LaurentPoly2, LocalizedPoly,
+                      loop_value, r_pow)
 
 
 _ROW_0 = (0, ONE2, ZERO2, ZERO2)
@@ -74,23 +60,6 @@ def _forget_row() -> None:
 
 # called like a functools cache's by callers that reset every cache
 _row.cache_clear = _forget_row
-
-
-def generator_power(m: int) -> GeneratorPower:
-    """The basis coefficients of the m-th power of a generator."""
-    a, b, c = _row(m)
-    return GeneratorPower(m, a, b, c)
-
-
-def generator_power_trace(m: int) -> Quotient:
-    """Trace of g^m: a_m + (b_m r + c_m) / x, with x the loop value.
-
-    1/x is not representable over powers of (s - s^-1) alone, so the value
-    is a genuine rational function with denominator r - r^-1 + s - s^-1.
-    """
-    a, b, c = _row(m)
-    num = a * X_NUM + (b * r_pow(1) + c) * DELTA
-    return Quotient(num, X_NUM)
 
 
 def torus2_invariant(m: int) -> LocalizedPoly:

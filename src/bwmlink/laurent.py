@@ -519,10 +519,6 @@ class LocalizedPoly:
             p = LaurentPoly2.const(p)
         return LocalizedPoly(p, 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, LaurentPoly2)):
             other = LocalizedPoly.from_poly(other)
@@ -549,9 +545,6 @@ class LocalizedPoly:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other: LocalizedPoly | LaurentPoly2 | int) -> LocalizedPoly:
         if isinstance(other, (int, LaurentPoly2)):
@@ -718,11 +711,6 @@ def specialize(value, spec: Specialization):
         raise ZeroDivisionError("specialized denominator vanished")
     q = num.exact_div(den)
     return q if q is not None else Quotient(num, den)
-
-
-def flip_vars(p):
-    """p(-r, -s) for the two-variable types, p(-q) for LaurentPoly1."""
-    return p.flip_vars()
 
 
 def quantum_dimension(n: int) -> LaurentPoly1:

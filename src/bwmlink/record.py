@@ -1,7 +1,7 @@
 """The shared base of the package's immutable value records.
 
-``BraidWord``, ``PlanarDiagram``, ``GeneratorPower``, ``BratteliGraph``,
-``Quotient`` and ``Specialization`` are small records of named fields.  They
+``BraidWord``, ``PlanarDiagram``, ``BratteliGraph``, ``Quotient`` and
+``Specialization`` are small records of named fields.  They
 are plain classes on this base rather than frozen dataclasses: importing
 ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize`` with
 it, and each decorator builds its methods with ``exec``: together they cost

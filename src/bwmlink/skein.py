@@ -41,6 +41,16 @@ e = 1 + c - c_sm, picks up (-1)^(c-1) (-1)^e = -(-1)^(c_sm-1): the step of
 D* at the same crossing, with D*'s state.  The memo keys a part with fewer
 over bits 1 than 0 by its mirror, so a link and its mirror share entries.
 
+Every value lies in Z[r^+-1, s^+-1][x]: each rule above is a polynomial
+in x with Laurent coefficients, and sums and products stay in that ring.
+Under r -> +-q^(2n), s -> +-q, X_NUM maps to delta's image times
+y = +-(q^(2n) - q^(-2n)) / (q - q^-1) + 1, which is in Z[q^+-1].  A
+value N / delta^k = sum p_i x^i (i <= d) gives, with m = max(d, k), the
+Laurent identity N delta^(m-k) = sum p_i X_NUM^i delta^(m-i).  Its image,
+with delta' = image of delta cancelled in the domain Z[q^+-1], reads
+N' = delta'^k sum p_i' y^i.  So ``specialize`` of an engine value divides
+exactly and returns a ``LaurentPoly1``, never a ``Quotient``.
+
 The normalized invariant of a braid closure divides out r^(exponent sum);
 it takes the value 1 on the unknot.
 """
@@ -182,11 +192,6 @@ def _skein_step(sw: LaurentPoly2, state: int, par: LaurentPoly2, e_par: int,
 
 
 _default_engine = SkeinEngine()
-
-
-def regular_isotopy_poly(diagram: PlanarDiagram,
-                         engine: SkeinEngine | None = None) -> LocalizedPoly:
-    return (engine or _default_engine).regular_isotopy_poly(diagram)
 
 
 def kauffman_polynomial(b: BraidWord,

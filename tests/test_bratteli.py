@@ -47,32 +47,43 @@ class TestLevels:
             assert len(boxes_big - boxes_small) == 1
 
 
+def hook(shape, i, j):
+    return yb._hook(shape, yb.conjugate(shape), i, j)
+
+
+def axial(shape, i, j):
+    return yb._axial(shape, yb.conjugate(shape), i, j)
+
+
 class TestBoxStatistics:
     def test_hook_corner(self):
-        assert yb.hook_length((2, 1), 1, 1) == 3
+        assert hook((2, 1), 1, 1) == 3
 
     def test_single_box(self):
-        assert yb.hook_length((1,), 1, 1) == 1
-        assert yb.d_stat((1,), 1, 1) == 1
+        assert hook((1,), 1, 1) == 1
+        assert axial((1,), 1, 1) == 1
 
     def test_below_diagonal(self):
-        assert yb.d_stat((2, 1), 2, 1) == -1
-
-    def test_box_outside(self):
-        with pytest.raises(ValueError):
-            yb.hook_length((2, 1), 2, 2)
-        with pytest.raises(ValueError):
-            yb.d_stat((1,), 2, 1)
+        assert axial((2, 1), 2, 1) == -1
 
     @given(shapes(max_size=8))
     @settings(max_examples=60)
     def test_hook_counts_boxes(self, shape):
         # arm + leg + 1 by direct counting
-        conj = yb.conjugate(shape)
         for i, j in yb.boxes(shape):
             arm = shape[i - 1] - j
-            leg = conj[j - 1] - i
-            assert yb.hook_length(shape, i, j) == arm + leg + 1
+            leg = sum(1 for row in shape[i:] if row >= j)
+            assert hook(shape, i, j) == arm + leg + 1
+
+    @given(shapes(max_size=8))
+    @settings(max_examples=60)
+    def test_padded_lengths(self, shape):
+        # row k and column k, 0 past the end, by counting boxes
+        cells = set(yb.boxes(shape))
+        conj = yb.conjugate(shape)
+        for k in range(1, len(shape) + (shape[0] if shape else 0) + 3):
+            assert yb._at(shape, k) == sum(1 for i, _ in cells if i == k)
+            assert yb._at(conj, k) == sum(1 for _, j in cells if j == k)
 
 
 class TestTraceWeight:
@@ -94,16 +105,6 @@ class TestTraceWeight:
     def test_sum_rule_range(self):
         for f in range(0, 6):
             assert yb.sum_rule_check(f), f
-
-    def test_matrix_unit_trace_level1(self):
-        assert yb.matrix_unit_trace((1,), 1) == 1
-
-    def test_matrix_unit_trace_empty_at_2(self):
-        assert yb.matrix_unit_trace((), 2) == RationalFn2(DELTA**2, X_NUM**2)
-
-    def test_matrix_unit_trace_level_check(self):
-        with pytest.raises(ValueError):
-            yb.matrix_unit_trace((1,), 2)
 
     def test_zero_gap_is_zero(self):
         # s^0 - s^-0: both terms have the key (0, 0) and cancel

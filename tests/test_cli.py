@@ -3,7 +3,8 @@ import json
 import pytest
 
 from bwmlink.bratteli import young_level
-from bwmlink.cli import DEPTH_CAP, M_CAP, N_CAP, SIGNS_CAP, main
+from bwmlink.cli import DEPTH_CAP, M_CAP, N_CAP, SIGNS_CAP, _value_json, main
+from bwmlink.laurent import LaurentPoly1, Quotient
 from bwmlink.skein import SkeinEngine
 
 
@@ -24,6 +25,12 @@ class TestInvariant:
         assert ("F(r,s) = r^-5*s^-1 - r^-5*s - r^-4*s^-2 + r^-4 - r^-4*s^2"
                 " - r^-3*s^-1 + r^-3*s + r^-2*s^-2 + r^-2*s^2") in out
         assert "elapsed" in err and "elapsed" not in out
+
+    def test_value_json_has_no_quotient_form(self):
+        # specialized engine values are Laurent polynomials (see the skein
+        # module docstring), so a quotient is a caller's error
+        with pytest.raises(TypeError):
+            _value_json(Quotient(LaurentPoly1.term(1), LaurentPoly1.term(2, 1)))
 
     def test_unknot_specialized(self, capsys):
         code, out, _ = run(capsys, "invariant", "--braid", "B2: 1",

@@ -1,4 +1,4 @@
-"""The six value records: equality, hashing, immutability, validation,
+"""The five value records: equality, hashing, immutability, validation,
 keyword construction, repr, copy and pickle; and the modules that
 importing the command line loads."""
 
@@ -13,7 +13,6 @@ import pytest
 
 from bwmlink.braid import BraidWord, closure_diagram, parse_braid
 from bwmlink.bratteli import BratteliGraph, generic_bratteli
-from bwmlink.closed_forms import GeneratorPower, generator_power
 from bwmlink.diagram import PlanarDiagram
 from bwmlink.laurent import (DELTA, ZERO2, LaurentPoly1, Quotient,
                              Specialization, r_pow)
@@ -23,10 +22,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def _diagram() -> PlanarDiagram:
     return closure_diagram(parse_braid("B3: 1 -2 1"))
-
-
-def _power() -> GeneratorPower:
-    return generator_power(3)
 
 
 def _graph() -> BratteliGraph:
@@ -39,7 +34,6 @@ RECORDS = [
     (BraidWord, lambda: BraidWord(3, ((1, 1), (2, -1))),
      ("strands", "letters"), True),
     (PlanarDiagram, _diagram, ("crossings", "arcs", "free_loops"), False),
-    (GeneratorPower, _power, ("m", "a", "b", "c"), True),
     (BratteliGraph, _graph, ("levels", "edges", "path_counts"), False),
     (Quotient, lambda: Quotient(r_pow(1), DELTA), ("num", "den"), False),
     (Specialization, lambda: Specialization(-1, 1, 2),

@@ -5,8 +5,9 @@ from bwmlink.braid import (BraidWord, closure_diagram, component_count,
                            conjugate, parse_braid, stabilize)
 from bwmlink.closed_forms import torus2_invariant
 from bwmlink.diagram import PlanarDiagram
-from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly2, LocalizedPoly,
-                             loop_value, r_pow)
+from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly1, LaurentPoly2,
+                             LocalizedPoly, Specialization, loop_value, r_pow,
+                             specialize)
 from bwmlink.skein import SkeinEngine, _skein_step, kauffman_polynomial
 from test_laurent import polys2, reference_mul
 
@@ -579,3 +580,15 @@ class TestSpecializedInvariants:
                 a = specialize(value, Specialization.osp(n))
                 b = specialize(value, Specialization.so(n))
                 assert one_var_equal(a, b), (m, n)
+
+    @pytest.mark.parametrize("sign_r, sign_s", [(1, 1), (1, -1), (-1, 1),
+                                                (-1, -1)])
+    @given(word=small_words(max_strands=4, max_len=8))
+    @settings(max_examples=75, deadline=None)
+    def test_specialized_values_are_polynomials(self, sign_r, sign_s, word):
+        # the skein module docstring proves every value lies in
+        # Z[r^+-1, s^+-1][x], and x specializes into Z[q^+-1]
+        value = kauffman_polynomial(word)
+        for n in (1, 2, 3):
+            spec = Specialization(sign_r, sign_s, n)
+            assert type(specialize(value, spec)) is LaurentPoly1, (word, n)
