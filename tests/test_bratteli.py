@@ -26,6 +26,12 @@ class TestLevels:
     def test_bmw_level_0(self):
         assert yb.bmw_level(0) == ((),)
 
+    def test_negative_level_raises(self):
+        with pytest.raises(ValueError, match="negative level"):
+            yb.young_level(-1)
+        with pytest.raises(ValueError, match="negative level"):
+            yb.bmw_level(-1)
+
     def test_partition_counts(self):
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         assert [len(yb.young_level(f)) for f in range(11)] == expected
@@ -491,6 +497,13 @@ class TestGraph:
         g = yb.generic_bratteli(7)
         with pytest.raises(ValueError):
             yb.enumerate_paths(g, (7,), 7)
+
+    def test_enumerate_paths_shape_off_level(self):
+        # (1,) sits on odd levels only; (2, 1) is not reached by level 2
+        g = yb.generic_bratteli(3)
+        for shape, level in (((1,), 2), ((2, 1), 2), ((3,), 1)):
+            with pytest.raises(ValueError, match="is not on level"):
+                yb.enumerate_paths(g, shape, level)
 
     @pytest.mark.parametrize("level", [-1, 3, 4])
     def test_enumerate_paths_level_out_of_range(self, level):

@@ -4,7 +4,8 @@ import sys
 import bwmlink.closed_forms as cf
 from bwmlink.closed_forms import (_row, parity_check, symmetry_check,
                                   torus2_invariant)
-from bwmlink.laurent import DELTA, LaurentPoly2, LocalizedPoly, loop_value, r_pow
+from bwmlink.laurent import (DELTA, LaurentPoly2, LocalizedPoly, Specialization,
+                             loop_value, r_pow, specialize)
 
 ONE = LaurentPoly2.const(1)
 ZERO = LaurentPoly2()
@@ -54,6 +55,36 @@ class TestGeneratorPower:
         b = coef2 * two_b + coef1
         c = coef2 * two_c
         assert (a, b, c) == _row(3)
+
+
+def x_trace(m: int) -> LocalizedPoly:
+    """x times the Markov trace of g^m (tr 1 = 1, tr g = r/x, tr e = 1/x):
+    a_m x + b_m r + c_m, which is r^m times the torus invariant."""
+    return r_pow(m) * torus2_invariant(m)
+
+
+class TestTrace:
+    def test_identity(self):
+        assert x_trace(0) == X
+
+    def test_single_power(self):
+        # tr g^(+-1) = r^(+-1)/x
+        assert x_trace(1) == LocalizedPoly.from_poly(R)
+        assert x_trace(-1) == LocalizedPoly.from_poly(R_INV)
+
+    def test_square(self):
+        # 1 + (s - s^-1)(r - r^-1)/x
+        assert x_trace(2) == X + DELTA * (R - R_INV)
+
+    def test_parity_flip_of_trace(self):
+        # the scalar shadow of the substitution symmetry: x specializes the
+        # same both ways, so the two specialized traces differ by (-1)^m
+        for m in range(-4, 7):
+            sign = 1 if m % 2 == 0 else -1
+            for n in (1, 2):
+                a = specialize(x_trace(m), Specialization.osp(n))
+                b = specialize(x_trace(m), Specialization.so(n))
+                assert a == sign * b, (m, n)
 
 
 class TestTorusInvariant:

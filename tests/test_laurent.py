@@ -79,6 +79,12 @@ class TestLaurentPoly2:
     def test_pow_monomial_negative(self):
         assert (R * S) ** -2 == LaurentPoly2.term(1, -2, -2)
 
+    def test_pow_negative_non_unit_raises(self):
+        # only +-monomials are units of the Laurent ring
+        for p in (R + S, 2 * R, DELTA):
+            with pytest.raises(ValueError, match="unit monomials"):
+                p ** -1
+
     def test_serialization_order(self):
         p = poly2({(2, -1): -3, (0, 0): 1})
         assert p.to_triples() == [[0, 0, 1], [2, -1, -3]]
@@ -228,6 +234,15 @@ class TestLocalized:
         lhs = LocalizedPoly(R - r_pow(-1), 1) + LocalizedPoly(DELTA, 1)
         assert lhs == loop_value()
         assert lhs.k == 1
+
+    def test_negative_denominator_exponent_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            LocalizedPoly(R, -1)
+
+    def test_negative_power_raises(self):
+        # 1/x is not in Z[r^+-1, s^+-1][1/(s - s^-1)]
+        with pytest.raises(ValueError, match="localized ring"):
+            loop_value() ** -1
 
     def test_normalization_invariant(self):
         v = LocalizedPoly(DELTA * DELTA * R, 2)
@@ -453,6 +468,17 @@ class TestSpecialize:
         assert one_var_equal(v, QFraction(LaurentPoly1.const(1),
                                           LaurentPoly1({1: 1, -1: -1})))
 
+    @pytest.mark.parametrize("args", [(0, 1, 1), (1, 2, 1), (1, -1, 0),
+                                      (-1, 1, -2)])
+    def test_invalid_specialization_raises(self, args):
+        with pytest.raises(ValueError):
+            Specialization(*args)
+
+    def test_unsupported_value_raises(self):
+        for value in (3, LaurentPoly1.const(1)):
+            with pytest.raises(TypeError, match="cannot specialize"):
+                specialize(value, Specialization.osp(1))
+
     def test_vanished_denominator_raises(self):
         # r + s^2 -> -q^2 + q^2 under osp:1; a real exception, not an assert
         value = RationalFn2(LaurentPoly2.const(1), R + S * S)
@@ -466,6 +492,11 @@ class TestQuantumDimension:
 
     def test_n1_coefficient_sum(self):
         assert sum(c for _, c in quantum_dimension(1).terms()) == -1
+
+    def test_nonpositive_n_raises(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="positive integer"):
+                quantum_dimension(n)
 
     def test_clears_division(self):
         for n in (1, 2, 3, 4):
