@@ -127,12 +127,19 @@ def _box_factors(shape: Shape) -> tuple[tuple[LaurentPoly2, int], ...]:
     for i, j in boxes(shape):
         hook = _hook(shape, conj, i, j)
         if i == j:
-            # row + col - 2j + 1 of a diagonal box is its hook length
-            factor = _gap(1, shape[i - 1] - conj[j - 1]) + _gap(0, hook)
+            factor = _diagonal(shape[i - 1] - conj[j - 1], hook)
         else:
             factor = _gap(1, _axial(shape, conj, i, j))
         out.append((factor, hook))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _diagonal(e: int, hook: int) -> LaurentPoly2:
+    """r s^e - r^-1 s^-e + s^h - s^-h, the numerator factor of a diagonal
+    box with row - col = e and hook length h (row + col - 2j + 1 of a
+    diagonal box is its hook length); shapes share it."""
+    return _gap(1, e) + _gap(0, hook)
 
 
 @lru_cache(maxsize=None)
@@ -374,12 +381,25 @@ def specialized_weights_equal(shape: Shape, n: int) -> bool:
     domain Z[q, q^-1], so the weights agree exactly when flip = +1 or the
     osp weight is zero.
 
-    flip = offdiag_sign * split_sign, which the paper's sign lemma makes
-    +1: an off-diagonal factor r s^d - r^-1 s^-d has parity d + 1, and
-    d + h = row_j + col_j above the diagonal, row_i + col_i below it
-    (mod 2); a diagonal factor has the parity of its hook.  A factor whose
-    terms mix parities raises ValueError; ``_box_factors`` builds none.
+    flip depends on the shape alone, not on n: ``_weight_flips`` computes
+    it once per shape, so a sweep over n = 1..8 reads each shape's box
+    factors once.  flip = offdiag_sign * split_sign, which the paper's
+    sign lemma makes +1: an off-diagonal factor r s^d - r^-1 s^-d has
+    parity d + 1, and d + h = row_j + col_j above the diagonal,
+    row_i + col_i below it (mod 2); a diagonal factor has the parity of
+    its hook.  A factor whose terms mix parities raises ValueError;
+    ``_box_factors`` builds none.
     """
+    return (not _weight_flips(shape)
+            or not specialized_weight_nonzero(shape, Specialization.osp(n)))
+
+
+@lru_cache(maxsize=None)
+def _weight_flips(shape: Shape) -> bool:
+    """Whether W(-r, -s) = -W(r, s): the product over boxes of (-1)^(p + h)
+    is -1, with p the common parity of a + b over the terms r^a s^b of the
+    box factor and h its hook length.  ValueError on a factor whose terms
+    mix parities."""
     flip = 0
     for factor, hook in _box_factors(shape):
         parities = {(a + b) & 1 for a, b in factor._terms}
@@ -387,8 +407,7 @@ def specialized_weights_equal(shape: Shape, n: int) -> bool:
             raise ValueError(
                 f"a box factor of shape {list(shape)} mixes term parities")
         flip ^= sum(parities) ^ hook
-    return (not flip & 1
-            or not specialized_weight_nonzero(shape, Specialization.osp(n)))
+    return bool(flip & 1)
 
 
 # ---------------------------------------------------------------------------

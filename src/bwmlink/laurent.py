@@ -36,6 +36,7 @@ All values are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from math import gcd, prod
 
 from .record import Record, init_field
 
@@ -373,80 +374,103 @@ def sums_of_products_equal(lhs, rhs) -> bool:
     Method.  Let M be the sum, over the products of both sides, of the
     product of their factors' 1-norms; M bounds every coefficient of the
     difference D = lhs - rhs.  Take B = 2^K > M.  In two variables, r
-    becomes s^W, with W above the s-span of the difference (the highest
-    s-degree of any product minus the lowest), so distinct monomials
-    r^a s^b of D go to distinct powers s^(W a + b).  Then s (or q) becomes
-    B.  Each factor, shifted to nonnegative exponents as terms c B^e, is
-    multiplied into its product's int v as the sum of the shifted copies
-    c (v << K e): a copy is added for c = 1 and subtracted for c = -1, and
-    only a larger |c| costs a product, v c.  Every step is linear in the
-    size of v.  In two variables each distinct factor is flattened once.
-    Each product is shifted back by the sum of its factors' shifts, less
-    the smallest such sum, before the two sides' totals are compared.
+    becomes s^W, with W odd and above the s-span of the difference (the
+    highest s-degree of any product minus the lowest), so distinct
+    monomials r^a s^b of D go to distinct powers s^(W a + b), and W a + b
+    keeps the parity of a + b.  Let d be the gcd of the exponent gaps
+    inside the flattened factors (1 if every factor is a monomial), and
+    write each factor as s^lo g(s^d).  Then s^d (or q^d) becomes B.  Each
+    g, as terms c B^e, is multiplied into its product's int v as the sum
+    of the shifted copies c (v << K e): a copy is added for c = 1 and
+    subtracted for c = -1, and only a larger |c| costs a product, v c.
+    Every step is linear in the size of v.  Each distinct factor's norm,
+    span and flattened terms are computed once, however often it occurs.
+    A product's shift is the sum of its factors' lo; products are summed
+    by the class of that shift mod d, each shifted back by its distance
+    from the smallest shift, in steps of d, and every class must sum to 0.
 
-    Order.  Multiplying a w-digit v by a factor of t terms and flattened
-    span sigma costs t shifted copies and widens v by sigma, so factor i
-    just before factor j costs t_j sigma_i - t_i sigma_j more than just
-    after it: factors go in by ascending sigma / t (Smith's rule, W. E.
-    Smith 1956).  B and W come from the factors alone, not from the order.
+    A factor whose terms r^a s^b all have one parity of a + b, such as
+    every Bratteli factor (the weight symmetry W(-r, -s) = W(r, s)), has
+    only even gaps once W is odd: d = 2, and every int has half the
+    digits it would have with d = 1.  With d = 1 there is one class and
+    the kernel is the plain substitution s -> B.
 
-    Why this is exact.  The substitution is a ring homomorphism, so the
-    totals differ by D(B) times a power of B, which is 0 when D = 0.  If
-    D is nonzero, let c B^e be its lowest nonzero term after substitution:
-    0 < |c| <= M < B, and D(B) = B^e (c + B t) for an integer t.  Then
-    c + B t = 0 would make B divide c, so D(B) is not 0.
+    Order.  Multiplying a w-digit v by a factor of t terms and span sigma
+    (in steps of d) costs t shifted copies and widens v by sigma, so
+    factor i just before factor j costs t_j sigma_i - t_i sigma_j more
+    than just after it: factors go in by ascending sigma / t (Smith's
+    rule, W. E. Smith 1956).  B, W and d come from the factors alone, not
+    from the order.
+
+    Why this is exact.  The substitution is a ring homomorphism.  The
+    exponents of a product s^shift prod g(s^d) are all = shift (mod d),
+    so D splits into parts D_rho, one per class rho of the shift, with
+    disjoint exponents: D = 0 exactly when every D_rho is.  Each D_rho is
+    a power of s times G_rho(s^d), whose coefficients are some of D's, so
+    bounded by M; and each class total is G_rho(B), which is 0 when
+    G_rho = 0.  If G_rho is nonzero, let c B^e be its lowest nonzero term:
+    0 < |c| <= M < B, and G_rho(B) = B^e (c + B t) for an integer t.
+    Then c + B t = 0 would make B divide c, so G_rho(B) is not 0.
     """
-    cls = None
-    products = []  # (sign, factors) of every nonzero product
+    signed = [(1, t) for t in lhs] + [(-1, t) for t in rhs]
+    distinct = {id(f): f for _, t in signed for f in t}
+    classes = {type(f) for f in distinct.values()}
+    if len(classes) > 1:
+        raise TypeError("factors of different classes")
+    norms = {i: sum(map(abs, f._terms.values())) for i, f in distinct.items()}
+    products = []  # (sign, factor ids) of every nonzero product
     bound = 0
-    for sign, side in ((1, lhs), (-1, rhs)):
-        for t in side:
-            norm = 1
-            for f in t:
-                if type(f) is not cls:
-                    if cls is not None:
-                        raise TypeError("factors of different classes")
-                    cls = type(f)
-                norm *= sum(map(abs, f._terms.values()))
-            if norm:
-                products.append((sign, t))
-                bound += norm
+    for sign, t in signed:
+        ids = list(map(id, t))
+        norm = prod(map(norms.__getitem__, ids))
+        if norm:
+            products.append((sign, ids))
+            bound += norm
     if not products:
         return True
-    distinct = {id(f): f for _, t in products for f in t}
-    flats = {i: f._terms for i, f in distinct.items()}
-    if cls is LaurentPoly2:
+    flats = {i: f._terms for i, f in distinct.items() if f._terms}
+    if LaurentPoly2 in classes:
         # each distinct factor's s-degree range, then its flattened terms
-        spans = {i: (min(b for _, b in f._terms), max(b for _, b in f._terms))
-                 for i, f in distinct.items()}
-        low = min(sum(spans[id(f)][0] for f in t) for _, t in products)
-        high = max(sum(spans[id(f)][1] for f in t) for _, t in products)
-        width = high - low + 1
-        flats = {i: {width * a + b: c for (a, b), c in f._terms.items()}
-                 for i, f in distinct.items()}
-    span_per_term = {i: (max(terms) - min(terms)) / len(terms)
-                     for i, terms in flats.items()}
+        lows, highs = {}, {}
+        for i, terms in flats.items():
+            s_exps = [b for _, b in terms]
+            lows[i], highs[i] = min(s_exps), max(s_exps)
+        low = min(sum(map(lows.__getitem__, ids)) for _, ids in products)
+        high = max(sum(map(highs.__getitem__, ids)) for _, ids in products)
+        width = (high - low + 1) | 1
+        flats = {i: {width * a + b: c for (a, b), c in terms.items()}
+                 for i, terms in flats.items()}
+    los = {i: min(terms) for i, terms in flats.items()}
+    step = gcd(*(e - los[i] for i, terms in flats.items() for e in terms)) or 1
+    packed, span_per_term = {}, {}
+    for i, terms in flats.items():
+        lo = los[i]
+        packed[i] = lo, [((e - lo) // step, c) for e, c in terms.items()]
+        span_per_term[i] = (max(terms) - lo) / len(terms)
 
     bits = bound.bit_length()
-    shifted = []  # (value at B, exponent of B to multiply it by)
-    for sign, t in products:
+    shifted = []  # (value at B, exponent of s to multiply it by)
+    for sign, ids in products:
         value, shift = sign, 0
-        for i in sorted(map(id, t), key=span_per_term.__getitem__):
-            terms = flats[i]
-            lo = min(terms)
+        for i in sorted(ids, key=span_per_term.__getitem__):
+            lo, terms = packed[i]
             total = 0
-            for e, c in terms.items():
+            for e, c in terms:
                 if c == 1:
-                    total += value << bits * (e - lo)
+                    total += value << bits * e
                 elif c == -1:
-                    total -= value << bits * (e - lo)
+                    total -= value << bits * e
                 else:
-                    total += value * c << bits * (e - lo)
+                    total += value * c << bits * e
             value = total
             shift += lo
         shifted.append((value, shift))
     base = min(shift for _, shift in shifted)
-    return sum(value << bits * (shift - base) for value, shift in shifted) == 0
+    totals = [0] * step  # one per class of the shift mod d
+    for value, shift in shifted:
+        k, rho = divmod(shift - base, step)
+        totals[rho] += value << bits * k
+    return not any(totals)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,20 @@ e = 1 + c - c_sm, picks up (-1)^(c-1) (-1)^e = -(-1)^(c_sm-1): the step of
 D* at the same crossing, with D*'s state.  The memo keys a part with fewer
 over bits 1 than 0 by its mirror, so a link and its mirror share entries.
 
+The flip symmetry F(-r, -s) = F(r, s) holds for every link.  Put
+G(D) = (-1)^cr(D) V_D(-r, -s), with V the regular-isotopy value and cr
+the crossing count.  G obeys each rule above: loops and splits have no
+crossings of their own and x(-r, -s) = x; a kink gives (-1) (-r) = r, and
+a poke deletes two crossings and keeps the value; in the skein step both
+smoothings have one crossing fewer and the switched diagram as many, so
+(-1) (-delta) = delta; a descending diagram gives (-1)^cr (-r)^w = r^w,
+as the writhe w = cr (mod 2).  The engine computes V from these rules
+alone, so by induction along its recursion G = V, and F = r^-w V gives
+F(-r, -s) = (-1)^(w + cr) F = F.  On numerators, as delta(-s) = -delta,
+every term r^a s^b of N has a + b = cr + c - 1 (mod 2).  So
+``osp_invariant`` and ``so_invariant`` (which sends s to -q) are equal
+for every link and every n: the paper's corollary, for all links.
+
 Every value lies in Z[r^+-1, s^+-1][x]: each rule above is a polynomial
 in x with Laurent coefficients, and sums and products stay in that ring.
 Under r -> +-q^(2n), s -> +-q, X_NUM maps to delta's image times
@@ -60,7 +74,7 @@ from __future__ import annotations
 from .braid import BraidWord, closure_diagram, exponent_sum, free_reduce
 from .diagram import PlanarDiagram
 from .laurent import (ONE2, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
-                      Quotient, Specialization, r_pow, specialize)
+                      Specialization, r_pow, specialize)
 
 
 class SkeinEngine:
@@ -200,12 +214,12 @@ def kauffman_polynomial(b: BraidWord,
 
 
 def osp_invariant(b: BraidWord, n: int,
-                  engine: SkeinEngine | None = None) -> LaurentPoly1 | Quotient:
+                  engine: SkeinEngine | None = None) -> LaurentPoly1:
     """One-variable invariant at r -> -q^(2n), s -> q."""
     return specialize(kauffman_polynomial(b, engine), Specialization.osp(n))
 
 
 def so_invariant(b: BraidWord, n: int,
-                 engine: SkeinEngine | None = None) -> LaurentPoly1 | Quotient:
+                 engine: SkeinEngine | None = None) -> LaurentPoly1:
     """One-variable invariant at r -> q^(2n), s -> -q."""
     return specialize(kauffman_polynomial(b, engine), Specialization.so(n))

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +209,18 @@ class TestSumRuleCommonDenominator:
                         assert first.setdefault(factor, factor) is factor, shape
 
 
+    def test_equal_diagonal_factors_are_shared(self):
+        # one r s^e - r^-1 s^-e + s^h - s^-h per (e, h), across shapes
+        first = {}
+        for size in range(0, 10):
+            for shape in yb.young_level(size):
+                for (i, j), (factor, _) in zip(yb.boxes(shape),
+                                               yb._box_factors(shape)):
+                    if i == j:
+                        assert first.setdefault(factor, factor) is factor, shape
+        assert len(first) > 10
+
+
 class TestSumRuleGroupedByHooks:
     def test_holds_at_9(self):
         assert yb.sum_rule_check(9)
@@ -300,6 +313,15 @@ def parity_sign(box_factors):
     return sign
 
 
+def patch_box_factors(monkeypatch, fake):
+    """Patch ``_box_factors`` and give the per-shape Lemma-2 sign an empty
+    cache of its own for the test, so it reads the patched factors and
+    later tests never read a sign computed from them."""
+    monkeypatch.setattr(yb, "_box_factors", fake)
+    monkeypatch.setattr(yb, "_weight_flips",
+                        lru_cache(maxsize=None)(yb._weight_flips.__wrapped__))
+
+
 def times_r(real):
     """The box factors of ``real`` with the last-row-index box (in box
     order) multiplied by r: its parity flips, its hook length is kept."""
@@ -390,7 +412,7 @@ class TestWeightsEqualByFactors:
                  for shape in yb.young_level(size) for n in (1, 2, 3)
                  if yb.specialized_weight_nonzero(shape, Specialization.osp(n))]
         assert len(cases) > 100
-        monkeypatch.setattr(yb, "_box_factors", times_r(yb._box_factors))
+        patch_box_factors(monkeypatch, times_r(yb._box_factors))
         for shape, n in cases:
             assert not yb.specialized_weights_equal(shape, n), (shape, n)
 
@@ -398,7 +420,7 @@ class TestWeightsEqualByFactors:
         # every nonempty shape has flip = -1 under the mutant; the zero
         # weights among them must still read equal, as the oracle (which
         # reads the patched factors through trace_weight) says
-        monkeypatch.setattr(yb, "_box_factors", times_r(yb._box_factors))
+        patch_box_factors(monkeypatch, times_r(yb._box_factors))
         zero_weights = 0
         for size in range(0, 8):
             for shape in yb.young_level(size):
@@ -420,9 +442,25 @@ class TestWeightsEqualByFactors:
             return tuple((factor + ONE2 if index == odd else factor, hook)
                          for index, (factor, hook) in enumerate(real(s)))
 
-        monkeypatch.setattr(yb, "_box_factors", mixed)
+        patch_box_factors(monkeypatch, mixed)
         with pytest.raises(ValueError, match=r"\[2, 1\]"):
             yb.specialized_weights_equal(shape, 1)
+
+    def test_sign_read_once_per_shape(self, monkeypatch):
+        # the sign depends on the shape alone: n = 1..8 read the box
+        # factors of the shape once
+        real = yb._box_factors
+        reads = []
+
+        def counted(shape):
+            reads.append(shape)
+            return real(shape)
+
+        patch_box_factors(monkeypatch, counted)
+        shape = (4, 3, 1)
+        for n in range(1, 9):
+            assert yb.specialized_weights_equal(shape, n), n
+        assert reads == [shape]
 
     def test_sweep_specializes_nothing(self, monkeypatch):
         # one sweep from empty caches decides every case from the factor

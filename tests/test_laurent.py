@@ -604,6 +604,45 @@ def scaled_sides():
         even, lambda poly, cls: [(poly,)] if poly._terms else [])
 
 
+def parity_factors(parity):
+    """LaurentPoly2 factors whose terms r^a s^b all have a + b = parity
+    (mod 2), as every Bratteli factor has."""
+    keys = st.tuples(exps, exps).map(
+        lambda k: k if (k[0] + k[1] - parity) % 2 == 0 else (k[0], k[1] + 1))
+    return st.dictionaries(keys, coeffs, min_size=1,
+                           max_size=4).map(LaurentPoly2)
+
+
+def parity_parts(poly):
+    """poly as a sum of at most two one-factor products, the terms of even
+    and of odd a + b."""
+    parts = [{k: c for k, c in poly._terms.items() if sum(k) % 2 == p}
+             for p in (0, 1)]
+    return [(LaurentPoly2(part),) for part in parts if part]
+
+
+@st.composite
+def parity_sides(draw):
+    """Two sums of products of parity-homogeneous factors, so the kernel
+    packs every int at half width; the products' parities differ, so both
+    residue classes occur.  A third of the time the right side gets the
+    difference, split into its two parity parts; a third of the time it is
+    the left side times r or s, whose products have the left's packed
+    values in the other class."""
+    factor = st.integers(0, 1).flatmap(parity_factors)
+    side = st.lists(st.lists(factor, min_size=1, max_size=3).map(tuple),
+                    min_size=1, max_size=3)
+    lhs, rhs = draw(side), draw(side)
+    one = LaurentPoly2.const(1)
+    mode = draw(st.sampled_from(("drawn", "difference", "shifted")))
+    if mode == "difference":
+        rhs = rhs + parity_parts(expand(lhs, one) - expand(rhs, one))
+    elif mode == "shifted":
+        odd = draw(st.sampled_from((R, S)))
+        rhs = [t + (odd,) for t in lhs]
+    return lhs, rhs, one
+
+
 def kernel_copy(old, new):
     """A copy of the helper with the source text ``old`` made ``new``."""
     source = inspect.getsource(laurent.sums_of_products_equal)
@@ -674,6 +713,32 @@ class TestSumsOfProductsEqual:
 
         expected = expand(lhs, one) == expand(rhs, one)
         assert sums_of_products_equal(shuffled(lhs), shuffled(rhs)) is expected
+
+    @given(parity_sides())
+    @settings(max_examples=120, deadline=None)
+    def test_parity_homogeneous_factors(self, case):
+        lhs, rhs, one = case
+        assert agrees(sums_of_products_equal, case)
+        assert agrees(sums_of_products_equal, (rhs, lhs, one))
+
+    def test_residue_classes_kept_apart(self):
+        # s^2 - 1 and s (s^2 - 1) have only even gaps, so both are packed in
+        # steps of s^2; their shifts 0 and 1 lie in different classes, which
+        # are never summed into one int
+        q = LaurentPoly1.term(1, 1)
+        for s in (S, q):
+            assert not sums_of_products_equal([(s * s - 1,)], [(s, s * s - 1)])
+            assert sums_of_products_equal([(s * s - 1, s)], [(s, s * s - 1)])
+
+    def test_merged_classes_mutant_fails(self):
+        # a kernel that sums every residue class into one int aliases
+        # products whose shifts differ by less than one step
+        mutant = kernel_copy("totals[rho]", "totals[0]")
+        case = find(parity_sides(), lambda case: not agrees(mutant, case),
+                    settings=settings(max_examples=500, database=None,
+                                      derandomize=True,
+                                      phases=[Phase.generate]))
+        assert agrees(sums_of_products_equal, case)
 
     def test_edge_cases(self):
         q = LaurentPoly1.term(1, 1)

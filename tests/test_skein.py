@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import inspect
 
+import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
+
+from bwmlink import skein
 from bwmlink.braid import (BraidWord, closure_diagram, component_count,
                            conjugate, parse_braid, stabilize)
 from bwmlink.closed_forms import torus2_invariant
@@ -22,6 +25,50 @@ def small_words(draw, max_strands=3, max_len=6, min_len=0):
         (draw(st.integers(1, f - 1)), draw(st.sampled_from((1, -1))))
         for _ in range(n))
     return BraidWord(f, letters)
+
+
+def numerator_parity_holds(word):
+    """Whether every term r^a s^b of the closure's numerator N has
+    a + b = cr + c - 1 (mod 2), cr the crossing count and c the number of
+    components: the flip symmetry of the skein module docstring."""
+    diagram = closure_diagram(word)
+    num, c = SkeinEngine()._value(diagram)
+    want = (len(diagram.crossings) + c - 1) % 2
+    return all((a + b) % 2 == want for a, b in num._terms)
+
+
+def skein_step_copy(old, new):
+    """A copy of ``_skein_step`` with the source text ``old`` made ``new``."""
+    source = inspect.getsource(skein._skein_step)
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(skein))
+    exec(mutated, namespace)
+    return namespace["_skein_step"]
+
+
+class TestNumeratorParity:
+    @given(small_words(max_strands=4, max_len=8))
+    @settings(max_examples=300, deadline=None)
+    def test_terms_have_one_parity(self, word):
+        assert numerator_parity_holds(word)
+
+    def test_swapped_delta_powers_fail(self, monkeypatch):
+        # a step that lifts each smoothing by the other's power of delta
+        # breaks the parity where the two smoothings' component counts
+        # differ by one.  A flipped sign cannot: negating a coefficient or
+        # an exponent keeps a + b (mod 2)
+        mutant = skein_step_copy(
+            "((par, e_par, state), (cap, e_cap, -state))",
+            "((par, e_cap, state), (cap, e_par, -state))")
+        monkeypatch.setattr(skein, "_skein_step", mutant)
+        word = find(small_words(max_strands=4, max_len=8),
+                    lambda w: not numerator_parity_holds(w),
+                    settings=settings(max_examples=500, database=None,
+                                      derandomize=True,
+                                      phases=[Phase.generate]))
+        monkeypatch.undo()
+        assert numerator_parity_holds(word)
 
 
 class TestBaseCases:
