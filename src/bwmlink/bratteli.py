@@ -24,8 +24,8 @@ and so(2n+1) specializations agree for every n: the paper's Lemma 2.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import lru_cache
+from itertools import compress
 
 from .laurent import (ONE2, X_NUM, LaurentPoly2, Quotient, Specialization,
                       specialize, sums_of_products_equal)
@@ -188,18 +188,23 @@ class BratteliGraph(Record):
 
 @lru_cache(maxsize=None)
 def _level_shapes(k: int, n: int | None) -> tuple[Shape, ...]:
-    """Level k of the generic graph (n None) or of its rank-n truncation."""
-    return tuple(s for s in bmw_level(k) if n is None or truncation_rule(s, n))
+    """Level k of the generic graph (n None), or those of its shapes whose
+    truncation rank is at most n."""
+    if n is None:
+        return bmw_level(k)
+    return tuple(s for s in _level_shapes(k, None)
+                 if _truncation_rank(s) <= n)
 
 
 @lru_cache(maxsize=None)
 def _level_edges(k: int, n: int | None) -> tuple[tuple[Shape, Shape], ...]:
     """The one-box edges from level k to level k + 1, lower shape first,
     then upper-level order.  A truncation, an induced subgraph on
-    subsequences of the levels, keeps the generic edges between its shapes."""
+    subsequences of the levels, keeps the generic edges between its shapes:
+    those whose larger shape has rank at most n (``truncation_rule``)."""
     if n is not None:
-        keep = {*_level_shapes(k, n), *_level_shapes(k + 1, n)}
-        return tuple(e for e in _level_edges(k, None) if keep.issuperset(e))
+        return tuple(compress(_level_edges(k, None),
+                              map(n.__ge__, _edge_ranks(k))))
     upper = _level_shapes(k + 1, n)
     position = {s: idx for idx, s in enumerate(upper)}
     gap: list[tuple[Shape, Shape]] = []
@@ -209,6 +214,15 @@ def _level_edges(k: int, n: int | None) -> tuple[tuple[Shape, Shape], ...]:
                        if s in position)
         gap.extend((lo, upper[idx]) for idx in found)
     return tuple(gap)
+
+
+@lru_cache(maxsize=None)
+def _edge_ranks(k: int) -> tuple[int, ...]:
+    """The truncation rank of each generic edge's larger shape, in edge
+    order, shared by every truncation: of two shapes one box apart, the
+    larger is the lexicographically larger (a longer row, or one more)."""
+    return tuple(_truncation_rank(hi if lo < hi else lo)
+                 for lo, hi in _level_edges(k, None))
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +256,20 @@ def generic_bratteli(depth: int) -> BratteliGraph:
 def truncation_rule(shape: Shape, n: int) -> bool:
     """Survival criterion: first two column lengths sum to at most 2n + 1.
 
-    The first column has one box per row, the second one per row of
-    length at least 2.
+    With c = l'_1 + l'_2 that sum, c <= 2n + 1 holds exactly when n is at
+    least rho = floor(c / 2), the shape's truncation rank: the least n whose
+    truncation keeps it.  Adding a box lengthens one column by one, so c,
+    and with it rho, never falls along an edge of the graph; a truncation
+    keeps an edge's smaller shape whenever it keeps the larger one.
     """
-    second = sum(1 for row in shape if row >= 2)
-    return len(shape) + second <= 2 * n + 1
+    return _truncation_rank(shape) <= n
+
+
+@lru_cache(maxsize=None)
+def _truncation_rank(shape: Shape) -> int:
+    """rho = floor((l'_1 + l'_2) / 2): the first column has one box per
+    row, the second one per row that is not a single box."""
+    return (2 * len(shape) - shape.count(1)) // 2
 
 
 def specialized_weight_nonzero(shape: Shape, spec: Specialization) -> bool:
@@ -327,12 +350,18 @@ def sum_rule_check(f: int) -> bool:
     graph = generic_bratteli(f)
     terms = [(graph.path_count(shape, f), tuple(_box_factors(shape)))
              for shape in graph.levels[f]] + [(-1, ((X_NUM, 1),) * f)]
-    hooks = [Counter(h for _, h in boxes_) for _, boxes_ in terms]
-    common = Counter()
-    for multiset in hooks:
-        common |= multiset
+    hooks, common = [], {}  # per term, and for C: hook length -> multiplicity
+    for _, boxes_ in terms:
+        multiset: dict[int, int] = {}
+        for _, h in boxes_:
+            multiset[h] = multiset.get(h, 0) + 1
+        hooks.append(multiset)
+        for h, m in multiset.items():
+            if m > common.get(h, 0):
+                common[h] = m
     products = [(LaurentPoly2.const(count), *(factor for factor, _ in boxes_),
-                 *(_gap(0, h) for h in (common - multiset).elements()))
+                 *(_gap(0, h) for h, m in common.items()
+                   for _ in range(m - multiset.get(h, 0))))
                 for (count, boxes_), multiset in zip(terms, hooks)]
     return sums_of_products_equal(products, [])
 

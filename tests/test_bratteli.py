@@ -624,6 +624,44 @@ class TestTruncation:
             assert g == yb.generic_bratteli(depth)
 
 
+def first_two_columns(shape):
+    """l'_1 + l'_2, read off the conjugate."""
+    conj = yb.conjugate(shape) + (0, 0)
+    return conj[0] + conj[1]
+
+
+class TestTruncationRank:
+    def test_least_keeping_rank(self):
+        for size in range(0, 11):
+            for shape in yb.young_level(size):
+                least = next(n for n in range(size + 1)
+                             if first_two_columns(shape) <= 2 * n + 1)
+                assert yb._truncation_rank(shape) == least, shape
+
+    def test_rank_never_falls_along_an_edge(self):
+        # and the larger shape of an edge is its lexicographically larger
+        # end, which is how each truncation finds it
+        for gap in yb.generic_bratteli(10).edges:
+            for lo, hi in gap:
+                small, big = sorted((lo, hi), key=yb.shape_size)
+                assert max(lo, hi) == big, (lo, hi)
+                assert (yb._truncation_rank(small)
+                        <= yb._truncation_rank(big)), (lo, hi)
+
+    def test_larger_shape_filter_keeps_edges_with_both_ends(self):
+        # oracle: the generic edges with both ends kept by the column rule
+        for n in range(1, 9):
+            for depth in range(0, 11):
+                graph = yb.truncated_bratteli(Specialization.osp(n), depth)
+                generic = yb.generic_bratteli(depth)
+                for k in range(depth):
+                    keep = {s for s in generic.levels[k] + generic.levels[k + 1]
+                            if first_two_columns(s) <= 2 * n + 1}
+                    want = tuple(e for e in generic.edges[k]
+                                 if keep.issuperset(e))
+                    assert graph.edges[k] == want, (n, depth, k)
+
+
 class TestWeightSymmetry:
     def test_single_box(self):
         assert yb.specialized_weights_equal((1,), 1)

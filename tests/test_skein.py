@@ -52,6 +52,10 @@ class TestNumeratorParity:
     @settings(max_examples=300, deadline=None)
     def test_terms_have_one_parity(self, word):
         assert numerator_parity_holds(word)
+        # the same fact on the normalized value, after the r^-w shift and
+        # the localization: F(-r, -s) = F(r, s)
+        value = kauffman_polynomial(word)
+        assert value.flip_vars() == value
 
     def test_swapped_delta_powers_fail(self, monkeypatch):
         # a step that lifts each smoothing by the other's power of delta
