@@ -164,7 +164,7 @@ def cmd_torus(args) -> int:
     word = BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m))
     skein = engine.kauffman_polynomial(word)
     match = closed == skein
-    symmetric = symmetry_check(m)
+    symmetric = closed.flip_vars() == closed
     if args.format == "json":
         doc = {"schema": 1, "command": "torus", "m": m,
                "closed_form": _value_json(closed),
@@ -229,10 +229,16 @@ def _verify_parity(args, report):
 
 
 def _verify_symmetry(args, report):
+    """F(-r, -s) = F(r, s): on the torus closed forms, then on the engine
+    values of every Markov and braid-relation corpus word."""
     _cap("|m|", max(map(abs, args.m_range)), M_CAP)
     lo, hi = args.m_range
     for m in range(lo, hi + 1):
         report(f"symmetry m={m}", symmetry_check(m))
+    engine = SkeinEngine()
+    for text in MARKOV_CORPUS + BRAID_RELATION_CORPUS:
+        value = engine.kauffman_polynomial(parse_braid(text))
+        report(f"symmetry word={text!r}", value.flip_vars() == value)
 
 
 def _verify_sumrule(args, report):

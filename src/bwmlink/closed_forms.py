@@ -11,6 +11,12 @@ steps up from any row, and its inverse, which gives
 g^-1 = g - (s - s^-1)(1 - e) from g^0 = 1, steps down.  These rows drive the
 closed-form invariant of the two-strand torus links, the independent oracle
 for the skein engine.
+
+``torus2_invariant`` builds its value through the normalizing
+``LocalizedPoly`` arithmetic on purpose.  The engine's values are born in
+normal form by a proof, with no division; comparing them with ``==``
+against a normal form reached by trial division, as ``torus --m +-100``
+and ``verify oracle --m -100..100`` do, checks that proof as well.
 """
 
 from __future__ import annotations

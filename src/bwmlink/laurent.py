@@ -8,7 +8,10 @@ Four value types:
   target of the specializations r -> +-q^(2n), s -> +-q.
 * ``LocalizedPoly`` -- a ``LaurentPoly2`` divided by a power of (s - s^-1),
   kept in normalized form: the skein engine's results and the loop
-  constant x.
+  constant x.  The engine's (N, c - 1) pairs are normal by the theorem in
+  the ``skein`` docstring and are wrapped with ``_normal``; sums,
+  products, JSON input and the torus closed forms go through the
+  normalizing constructor.
 * ``Quotient``      -- num / den of two Laurent polynomials in the same
   variables, never reduced and compared by cross-multiplication.
   ``RationalFn2`` and ``QFraction`` are other names for it.
@@ -512,7 +515,9 @@ class LocalizedPoly:
     divide num.
 
     The constructor normalizes by repeated exact division by (s - s^-1)
-    (``_div_delta``); ``_normal`` wraps a pair already in that form.
+    (``_div_delta``); ``_normal`` wraps a pair already in that form, such
+    as a skein-engine value: N(r, 1) is not 0 (``skein`` docstring), so
+    s - 1, and with it s - s^-1, does not divide N.
     """
 
     __slots__ = ("num", "k")

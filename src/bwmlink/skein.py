@@ -55,6 +55,23 @@ every term r^a s^b of N has a + b = cr + c - 1 (mod 2).  So
 ``osp_invariant`` and ``so_invariant`` (which sends s to -q) are equal
 for every link and every n: the paper's corollary, for all links.
 
+Every pair (N, c) the engine returns is in lowest terms: s - s^-1 does
+not divide N.  In fact N(r, 1) = (r - r^-1)^(c-1) u(r) with u a Laurent
+polynomial in r and u(1) = 1, the Dubrovnik form of the lowest-coefficient
+formula (Lickorish-Millett, Topology 26, 1987, for HOMFLY; Kauffman, Trans.
+AMS 318, 1990).  By induction along the recursion, as for the flip: loops
+and splits give X_NUM^(c-1), and X_NUM(r, 1) = r - r^-1 (a split into
+parts of c_i components has split + sum(c_i - 1) = c - 1); kinks and
+descending leaves contribute powers of r, which are 1 at r = 1; pokes keep
+the value; the mirror rule maps u(r) to u(r^-1), with the sign (-1)^(c-1)
+absorbed by (r^-1 - r)^(c-1).  In a skein step delta(1) = 0, so at s = 1
+only the switched diagram (c components, as switching keeps them) and a
+smoothing with c_sm = c + 1 (delta^0) survive, and the latter carries one
+more factor r - r^-1, which is 0 at r = 1.  So N(r, 1) is not 0, s - 1
+does not divide N, and neither does delta = s^-1 (s - 1)(s + 1).
+``regular_isotopy_poly`` therefore wraps (N, c - 1) with
+``LocalizedPoly._normal``, with no trial division.
+
 Every value lies in Z[r^+-1, s^+-1][x]: each rule above is a polynomial
 in x with Laurent coefficients, and sums and products stay in that ring.
 Under r -> +-q^(2n), s -> +-q, X_NUM maps to delta's image times
@@ -110,9 +127,10 @@ class SkeinEngine:
         return len(self._cache) if self._cache is not None else 0
 
     def regular_isotopy_poly(self, diagram: PlanarDiagram) -> LocalizedPoly:
-        """The unnormalized diagram value described in the module docstring."""
+        """The unnormalized diagram value described in the module docstring;
+        (N, c - 1) is already in normal form, as proved there."""
         num, c = self._value(diagram)
-        return LocalizedPoly(num, c - 1)
+        return LocalizedPoly._normal(num, c - 1)
 
     def _value(self, diagram: PlanarDiagram,
                near: set[int] | None = None) -> tuple[LaurentPoly2, int]:

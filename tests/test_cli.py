@@ -238,9 +238,10 @@ class TestVerify:
         assert out.count("PASS") == 10
 
     def test_symmetry(self, capsys):
+        # 15 torus cases, then the 20 Markov and 10 braid-relation words
         code, out, _ = run(capsys, "verify", "symmetry", "--m", "-6..8")
         assert code == 0
-        assert out.count("PASS") == 15
+        assert out.count("PASS") == 45
 
     def test_omega(self, capsys):
         code, out, _ = run(capsys, "verify", "omega", "--max-f", "6")

@@ -1,11 +1,11 @@
 import inspect
 
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from bwmlink import skein
-from bwmlink.braid import (BraidWord, closure_diagram, component_count,
-                           conjugate, parse_braid, stabilize)
+from bwmlink.braid import (BraidWord, closure_diagram, closure_permutation,
+                           component_count, conjugate, parse_braid, stabilize)
 from bwmlink.closed_forms import torus2_invariant
 from bwmlink.diagram import PlanarDiagram
 from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly1, LaurentPoly2,
@@ -73,6 +73,101 @@ class TestNumeratorParity:
                                       phases=[Phase.generate]))
         monkeypatch.undo()
         assert numerator_parity_holds(word)
+
+
+def component_words(word):
+    """The closures of ``word`` restricted to each component's strands: a
+    letter between two strands of one component keeps its sign and is
+    renumbered among that component's slots, any other letter is dropped."""
+    image = closure_permutation(word)
+    components, seen = [], set()
+    for start in range(1, word.strands + 1):
+        cycle, p = set(), start
+        while p not in seen:
+            seen.add(p)
+            cycle.add(p)
+            p = image[p - 1]
+        if cycle:
+            components.append(cycle)
+    words = []
+    for strands in components:
+        current = list(range(1, word.strands + 1))  # slot -> strand start
+        letters = []
+        for i, e in word.letters:
+            if current[i - 1] in strands and current[i] in strands:
+                rank = sum(1 for s in current[:i - 1] if s in strands)
+                letters.append((rank + 1, e))
+            current[i - 1], current[i] = current[i], current[i - 1]
+        words.append(BraidWord(len(strands), tuple(letters)))
+    return words
+
+
+R_MINUS_R_INV = LaurentPoly1({1: 1, -1: -1})
+
+
+def at_s_one(num: LaurentPoly2) -> LaurentPoly1:
+    """N(r, 1), with r written as q."""
+    out = {}
+    for a, _, c in num.terms():
+        out[a] = out.get(a, 0) + c
+    return LaurentPoly1(out)
+
+
+def lowest_terms_hold(word):
+    """Whether the closure's numerator obeys the lowest-coefficient formula
+    of the skein module docstring: N(r, 1) = (r - r^-1)^(c-1) u(r) with
+    u(1) = 1, and u the product of the components' own N_K(r, 1); and
+    whether the normalized value equals the one built by the normalizing
+    constructor.  Every engine is fresh, so that a mutant caches nothing
+    that other tests read."""
+    num, c = SkeinEngine()._value(closure_diagram(word))
+    knots = component_words(word)
+    u = LaurentPoly1.const(1)
+    for knot in knots:
+        u = u * at_s_one(SkeinEngine()._value(closure_diagram(knot))[0])
+    e_sum = sum(e for _, e in word.letters)
+    return (len(knots) == c
+            and at_s_one(num) == R_MINUS_R_INV ** (c - 1) * u
+            and sum(coeff for _, coeff in u.terms()) == 1
+            and SkeinEngine().kauffman_polynomial(word)
+            == r_pow(-e_sum) * LocalizedPoly(num, c - 1))
+
+
+class TestLowestTerms:
+    """The engine's (N, c) pairs are in lowest terms, by the theorem in the
+    skein module docstring, checked here against the components' own
+    numerators: an oracle that never divides by s - s^-1 in the engine."""
+
+    @given(small_words(max_strands=5, max_len=9))
+    @example(parse_braid("B3:"))                    # 3-component unlink
+    @example(parse_braid("B5: 1 1 -3 -3"))          # two Hopf links and a loop
+    @example(parse_braid("B5: 1 1 1 -3 -3 -3"))     # both trefoils and a loop
+    @example(parse_braid("B3: 1 1 2 2"))            # 3-component chain
+    @example(parse_braid("B4: 1 2 1 2 3 3 3 -1"))   # knot linked to a loop
+    @settings(max_examples=200, deadline=None)
+    def test_lowest_coefficient_formula(self, word):
+        assert lowest_terms_hold(word)
+
+    def test_component_words(self):
+        # the Borromean rings: every component on its own is an unknot
+        words = component_words(parse_braid("B3: 1 -2 1 -2 1 -2"))
+        assert words == [BraidWord(1, ())] * 3
+        # a trefoil on strands 1, 2 and an unknot on strands 3, 4
+        assert component_words(parse_braid("B4: 1 1 1 3")) == [
+            BraidWord(2, ((1, 1),) * 3), BraidWord(2, ((1, 1),))]
+
+    def test_swapped_delta_powers_fail(self, monkeypatch):
+        mutant = skein_step_copy(
+            "((par, e_par, state), (cap, e_cap, -state))",
+            "((par, e_cap, state), (cap, e_par, -state))")
+        monkeypatch.setattr(skein, "_skein_step", mutant)
+        word = find(small_words(max_strands=5, max_len=9),
+                    lambda w: not lowest_terms_hold(w),
+                    settings=settings(max_examples=500, database=None,
+                                      derandomize=True,
+                                      phases=[Phase.generate]))
+        monkeypatch.undo()
+        assert lowest_terms_hold(word)
 
 
 class TestBaseCases:
@@ -467,7 +562,9 @@ class TestNumerators:
             assert (SkeinEngine().regular_isotopy_poly(diagram)
                     == reference_value(diagram))
 
-    def test_one_division_per_evaluation(self, monkeypatch):
+    def test_no_division_per_evaluation(self, monkeypatch):
+        # engine values are born in lowest terms (skein module docstring):
+        # neither a node nor the evaluation calls the normalizing constructor
         built = []
         init = LocalizedPoly.__init__
 
@@ -477,7 +574,7 @@ class TestNumerators:
 
         monkeypatch.setattr(LocalizedPoly, "__init__", counting_init)
         SkeinEngine().kauffman_polynomial(parse_braid("B4: 1 2 3 1 2 3"))
-        assert len(built) == 1
+        assert len(built) == 0
 
     def test_cache_holds_numerator_pairs(self):
         eng = SkeinEngine()
