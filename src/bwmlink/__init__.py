@@ -12,7 +12,7 @@ from .bratteli import (BratteliGraph, bmw_level, bratteli_dot, bratteli_json,
                        specialized_weights_equal, sum_rule_check,
                        survives_truncation, trace_weight, truncated_bratteli,
                        truncation_rule, young_level)
-from .closed_forms import parity_check, symmetry_check, torus2_invariant
+from .closed_forms import torus2_invariant
 from .diagram import PlanarDiagram
 from .laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
                       QFraction, Quotient, RationalFn2, Specialization,
@@ -30,10 +30,10 @@ __all__ = [
     "bratteli_dot", "bratteli_json", "closure_diagram", "closure_permutation",
     "component_count", "conjugate", "enumerate_paths", "exponent_sum",
     "free_reduce", "generic_bratteli", "isotopy_moves", "kauffman_polynomial",
-    "loop_value", "one_var_equal", "osp_invariant", "parity_check",
-    "parse_braid", "path_pair_count", "quantum_dimension", "r_pow", "s_pow",
-    "shape_label", "sign_identity_check", "so_invariant", "specialize",
+    "loop_value", "one_var_equal", "osp_invariant", "parse_braid",
+    "path_pair_count", "quantum_dimension", "r_pow", "s_pow", "shape_label",
+    "sign_identity_check", "so_invariant", "specialize",
     "specialized_weights_equal", "stabilize", "sum_rule_check",
-    "survives_truncation", "symmetry_check", "torus2_invariant",
-    "trace_weight", "truncated_bratteli", "truncation_rule", "young_level",
+    "survives_truncation", "torus2_invariant", "trace_weight",
+    "truncated_bratteli", "truncation_rule", "young_level",
 ]

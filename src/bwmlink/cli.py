@@ -17,12 +17,12 @@ import time
 from . import bratteli as yb
 from .braid import (BraidParseError, BraidWord, component_count,
                     exponent_sum, isotopy_moves, parse_braid)
-from .closed_forms import parity_check, symmetry_check, torus2_invariant
+from .closed_forms import torus2_invariant
 from .laurent import LaurentPoly1, LocalizedPoly, Specialization, specialize
 from .skein import SkeinEngine
 
 DEPTH_CAP = 8  # cap on Bratteli depths and verify --max-f, --max-size, --max-n
-M_CAP = 100  # cap on |m| for torus --m and the verify --m and --max-m ranges
+M_CAP = 100  # cap on |m| for torus --m and the verify --m range
 SIGNS_CAP = 1000  # cap on the verify lemma2 --random-signs count
 N_CAP = 100  # cap on the rank n of --spec osp:<n> and so:<n>
 
@@ -87,7 +87,6 @@ def _value_json(value):
         return {"num": value.num.to_lists(), "den_power": value.k,
                 "variables": ["r", "s"]}
     if isinstance(value, LaurentPoly1):
-        # a specialized engine value is never a Quotient: see ``skein``
         return {"terms": value.to_lists(), "variables": ["q"]}
     raise TypeError(f"unexpected value type {type(value).__name__}")
 
@@ -156,13 +155,16 @@ def cmd_invariant(args) -> int:
     return 0
 
 
+def _torus_word(m: int) -> BraidWord:
+    """The two-strand braid word whose closure is T(2, m)."""
+    return BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m))
+
+
 def cmd_torus(args) -> int:
     m = args.m
     _cap("|m|", abs(m), M_CAP)
-    engine = SkeinEngine()
     closed = torus2_invariant(m)
-    word = BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m))
-    skein = engine.kauffman_polynomial(word)
+    skein = SkeinEngine().kauffman_polynomial(_torus_word(m))
     match = closed == skein
     symmetric = closed.flip_vars() == closed
     if args.format == "json":
@@ -184,16 +186,12 @@ def cmd_torus(args) -> int:
 
 def cmd_bratteli(args) -> int:
     _cap("depth", args.depth, DEPTH_CAP)
-    try:
-        if args.spec is None:
-            graph = yb.generic_bratteli(args.depth)
-            kind = "generic"
-        else:
-            graph = yb.truncated_bratteli(args.spec, args.depth)
-            kind = args.spec.label()
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    if args.spec is None:
+        graph = yb.generic_bratteli(args.depth)
+        kind = "generic"
+    else:
+        graph = yb.truncated_bratteli(args.spec, args.depth)
+        kind = args.spec.label()
     if args.format == "dot":
         _emit(yb.bratteli_dot(graph, title=kind), args.out)
     elif args.format == "json":
@@ -217,28 +215,39 @@ def _verify_oracle(args, report):
     engine = SkeinEngine()
     lo, hi = args.m_range
     for m in range(lo, hi + 1):
-        word = BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m))
-        ok = engine.kauffman_polynomial(word) == torus2_invariant(m)
+        ok = engine.kauffman_polynomial(_torus_word(m)) == torus2_invariant(m)
         report(f"oracle m={m}", ok)
 
 
+def _link_values(args, closed_form: bool):
+    """(label, value) pairs: T(2, m) for m in the ``--m`` range, from the
+    closed form or from the engine, then the engine values of the Markov
+    and braid-relation corpus words."""
+    _cap("|m|", max(map(abs, args.m_range)), M_CAP)
+    engine = SkeinEngine()
+    lo, hi = args.m_range
+    for m in range(lo, hi + 1):
+        yield f"m={m}", (torus2_invariant(m) if closed_form
+                         else engine.kauffman_polynomial(_torus_word(m)))
+    for text in MARKOV_CORPUS + BRAID_RELATION_CORPUS:
+        yield f"word={text!r}", engine.kauffman_polynomial(parse_braid(text))
+
+
 def _verify_parity(args, report):
-    _cap("max-m", args.max_m, M_CAP)
-    for m in range(1, args.max_m + 1):
-        report(f"parity m={m}", parity_check(m))
+    """Every term r^a s^b of an engine value's numerator has a + b = k
+    (mod 2), k its power of s - s^-1: the numerator parity proved in the
+    ``skein`` docstring, shifted by r^-w with w = cr (mod 2)."""
+    for label, value in _link_values(args, closed_form=False):
+        parity = value.k % 2
+        report(f"parity {label}",
+               all((a + b) % 2 == parity for a, b, _ in value.num.terms()))
 
 
 def _verify_symmetry(args, report):
     """F(-r, -s) = F(r, s): on the torus closed forms, then on the engine
     values of every Markov and braid-relation corpus word."""
-    _cap("|m|", max(map(abs, args.m_range)), M_CAP)
-    lo, hi = args.m_range
-    for m in range(lo, hi + 1):
-        report(f"symmetry m={m}", symmetry_check(m))
-    engine = SkeinEngine()
-    for text in MARKOV_CORPUS + BRAID_RELATION_CORPUS:
-        value = engine.kauffman_polynomial(parse_braid(text))
-        report(f"symmetry word={text!r}", value.flip_vars() == value)
+    for label, value in _link_values(args, closed_form=True):
+        report(f"symmetry {label}", value.flip_vars() == value)
 
 
 def _verify_sumrule(args, report):
@@ -352,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=sorted(_SUITES))
     p_ver.add_argument("--m", dest="m_range", type=_parse_range,
                        default=(-6, 8), help="range lo..hi")
-    p_ver.add_argument("--max-m", type=int, default=10)
     p_ver.add_argument("--max-f", type=int, default=5)
     p_ver.add_argument("--max-size", type=int, default=6)
     p_ver.add_argument("--max-n", type=int, default=3)

@@ -74,21 +74,3 @@ def torus2_invariant(m: int) -> LocalizedPoly:
     a, b, c = _row(m)
     return r_pow(-m) * (a * loop_value() + b * r_pow(1) + c)
 
-
-def parity_check(m: int) -> bool:
-    """Every term of a_m and c_m has total degree congruent to m mod 2, and
-    every term of b_m congruent to m+1."""
-    a, b, c = _row(m)
-
-    def all_parity(p: LaurentPoly2, parity: int) -> bool:
-        return all((ra + sb) % 2 == parity for ra, sb, _ in p.terms())
-
-    return (all_parity(a, m % 2) and all_parity(c, m % 2)
-            and all_parity(b, (m + 1) % 2))
-
-
-def symmetry_check(m: int) -> bool:
-    """Whether the two-strand torus invariant is unchanged under
-    (r, s) -> (-r, -s)."""
-    value = torus2_invariant(m)
-    return value.flip_vars() == value

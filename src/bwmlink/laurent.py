@@ -13,8 +13,8 @@ Four value types:
   products, JSON input and the torus closed forms go through the
   normalizing constructor.
 * ``Quotient``      -- num / den of two Laurent polynomials in the same
-  variables, never reduced and compared by cross-multiplication.
-  ``RationalFn2`` and ``QFraction`` are other names for it.
+  variables, never reduced and compared by cross-multiplication: the
+  trace weights.  ``RationalFn2`` and ``QFraction`` are other names for it.
 
 The two polynomial classes share one sparse core, ``_Laurent``: a map from
 exponent key to nonzero coefficient, with everything that does not depend
@@ -667,7 +667,7 @@ RationalFn2 = QFraction = Quotient
 
 
 def one_var_equal(u: LaurentPoly1 | Quotient, v: LaurentPoly1 | Quotient) -> bool:
-    """Equality of specialized values, polynomial or quotient: ``u == v``."""
+    """Equality of two one-variable values: ``u == v``."""
     return u == v
 
 
@@ -710,9 +710,10 @@ class Specialization(Record):
 def specialize(value, spec: Specialization):
     """Substitute r, s by the one-variable images and collect exactly.
 
-    LaurentPoly2 inputs give a LaurentPoly1.  LocalizedPoly and two-variable
-    Quotient inputs give a LaurentPoly1 when the specialized denominator
-    divides the specialized numerator, a Quotient in q otherwise.
+    A LaurentPoly2 gives its image.  A LocalizedPoly N / (s - s^-1)^k gives
+    the image of N divided by the image of (s - s^-1)^k, which must divide
+    it exactly (it does for every skein-engine value: see ``skein``);
+    ValueError otherwise.
     """
     if isinstance(value, LaurentPoly2):
         out: dict[int, int] = {}
@@ -728,18 +729,14 @@ def specialize(value, spec: Specialization):
             else:
                 del out[e]
         return LaurentPoly1._make(out)
-    if isinstance(value, LocalizedPoly):
-        num = specialize(value.num, spec)
-        den = specialize(DELTA, spec) ** value.k
-    elif isinstance(value, Quotient):
-        num = specialize(value.num, spec)
-        den = specialize(value.den, spec)
-    else:
+    if not isinstance(value, LocalizedPoly):
         raise TypeError(f"cannot specialize {type(value).__name__}")
-    if den.is_zero:
-        raise ZeroDivisionError("specialized denominator vanished")
-    q = num.exact_div(den)
-    return q if q is not None else Quotient(num, den)
+    den = specialize(DELTA, spec) ** value.k
+    q = specialize(value.num, spec).exact_div(den)
+    if q is None:
+        raise ValueError(f"(s - s^-1)^{value.k} does not divide the "
+                         f"numerator under {spec.label()}")
+    return q
 
 
 def quantum_dimension(n: int) -> LaurentPoly1:

@@ -80,7 +80,7 @@ value N / delta^k = sum p_i x^i (i <= d) gives, with m = max(d, k), the
 Laurent identity N delta^(m-k) = sum p_i X_NUM^i delta^(m-i).  Its image,
 with delta' = image of delta cancelled in the domain Z[q^+-1], reads
 N' = delta'^k sum p_i' y^i.  So ``specialize`` of an engine value divides
-exactly and returns a ``LaurentPoly1``, never a ``Quotient``.
+exactly, and its ``ValueError`` for an inexact division never fires.
 
 The normalized invariant of a braid closure divides out r^(exponent sum);
 it takes the value 1 on the unknot.

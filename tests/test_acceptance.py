@@ -9,13 +9,13 @@ import random
 import time
 
 import bwmlink.bratteli as yb
-from bwmlink.braid import BraidWord, isotopy_moves, parse_braid
-from bwmlink.cli import BRAID_RELATION_CORPUS, MARKOV_CORPUS
-from bwmlink.closed_forms import (parity_check, symmetry_check,
-                                  torus2_invariant)
+from bwmlink.braid import isotopy_moves, parse_braid
+from bwmlink.cli import BRAID_RELATION_CORPUS, MARKOV_CORPUS, _torus_word
+from bwmlink.closed_forms import torus2_invariant
 from bwmlink.laurent import (Specialization, loop_value, one_var_equal,
                              quantum_dimension, specialize)
 from bwmlink.skein import SkeinEngine
+from test_closed_forms import row_parity_holds, torus_symmetric
 
 
 def _report(number: int, name: str, ok: bool, elapsed: float, budget: float):
@@ -24,10 +24,6 @@ def _report(number: int, name: str, ok: bool, elapsed: float, budget: float):
           f"({elapsed:.2f}s / budget {budget:.0f}s)")
     assert ok, f"criterion {number} ({name}) failed"
     assert elapsed < budget, f"criterion {number} over budget: {elapsed:.2f}s"
-
-
-def _torus_word(m: int) -> BraidWord:
-    return BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m))
 
 
 def test_criterion_01_oracle_equivalence():
@@ -42,7 +38,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_variable_flip_symmetry():
     started = time.perf_counter()
-    ok = all(symmetry_check(m) for m in range(-6, 9))
+    ok = all(torus_symmetric(m) for m in range(-6, 9))
     for m in range(-4, 7):
         value = torus2_invariant(m)
         for n in (1, 2):
@@ -89,7 +85,7 @@ def test_criterion_04_braid_relation_invariance():
 
 def test_criterion_05_coefficient_parity():
     started = time.perf_counter()
-    ok = all(parity_check(m) for m in range(1, 11))
+    ok = all(row_parity_holds(m) for m in range(1, 11))
     _report(5, "coefficient parity m=1..10", ok,
             time.perf_counter() - started, 1.0)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import bwmlink.bratteli as yb
 from bwmlink import laurent
+from bwmlink.cli import DEPTH_CAP
 from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly2, Quotient,
                              RationalFn2, Specialization, loop_value,
                              quantum_dimension, r_pow, s_pow, specialize)
@@ -575,7 +576,8 @@ class TestTruncation:
                         conj[0] + conj[1] <= 2 * n + 1), (shape, n)
 
     def test_matches_inductive_membership(self):
-        for size in range(0, 7):
+        # every shape that a truncated graph to the depth cap can hold
+        for size in range(0, DEPTH_CAP + 1):
             for shape in yb.young_level(size):
                 for n in (1, 2, 3):
                     rule = yb.truncation_rule(shape, n)

@@ -233,9 +233,25 @@ class TestVerify:
         assert "failures: 0" in out
 
     def test_parity(self, capsys):
-        code, out, _ = run(capsys, "verify", "parity", "--max-m", "10")
+        # 15 torus cases from the engine, then the 30 corpus words
+        code, out, _ = run(capsys, "verify", "parity")
         assert code == 0
-        assert out.count("PASS") == 10
+        assert out.count("PASS") == 45
+        assert out.endswith("total: 45 failures: 0\n")
+
+    def test_parity_catches_an_engine_fault(self, capsys, monkeypatch):
+        # the mutant of TestNumeratorParity: each smoothing lifted by the
+        # other's power of delta
+        from bwmlink import skein
+        from test_skein import skein_step_copy
+
+        mutant = skein_step_copy(
+            "((par, e_par, state), (cap, e_cap, -state))",
+            "((par, e_cap, state), (cap, e_par, -state))")
+        monkeypatch.setattr(skein, "_skein_step", mutant)
+        code, out, _ = run(capsys, "verify", "parity")
+        assert code == 1
+        assert "FAIL parity " in out
 
     def test_symmetry(self, capsys):
         # 15 torus cases, then the 20 Markov and 10 braid-relation words
@@ -270,7 +286,7 @@ class TestVerify:
         assert "failures: 0" in out
 
     def test_report_sorted(self, capsys):
-        _, out, _ = run(capsys, "verify", "parity", "--max-m", "3")
+        _, out, _ = run(capsys, "verify", "parity", "--m", "1..3")
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert lines == sorted(lines)
 
@@ -281,7 +297,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ["verify", "omega", "--max-f", str(DEPTH_CAP + 1)],
         ["verify", "sumrule", "--max-f", str(DEPTH_CAP + 1)],
-        ["verify", "parity", "--max-m", str(M_CAP + 1)],
+        ["verify", "parity", "--m", f"0..{M_CAP + 1}"],
         ["verify", "oracle", "--m", f"0..{M_CAP + 1}"],
         ["verify", "oracle", "--m", f"-{M_CAP + 1}..0"],
         ["verify", "symmetry", "--m", f"0..{M_CAP + 1}"],
@@ -300,7 +316,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "markov", "--words", "-1"],
-        ["verify", "parity", "--max-m", "-1"],
         ["verify", "omega", "--max-f", "-2"],
         ["verify", "sumrule", "--max-f", "-1"],
         ["verify", "lemma2", "--max-size", "-1"],
@@ -314,9 +329,10 @@ class TestVerify:
         assert "negative" in err
 
     def test_parity_at_cap(self, capsys):
-        code, out, _ = run(capsys, "verify", "parity", "--max-m", str(M_CAP))
+        code, out, _ = run(capsys, "verify", "parity", "--m", f"1..{M_CAP}")
         assert code == 0
-        assert out.count("PASS") == M_CAP
+        assert out.count("PASS parity m=") == M_CAP
+        assert out.endswith(f"total: {M_CAP + 30} failures: 0\n")
 
     def test_lemma2_at_caps(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma2",

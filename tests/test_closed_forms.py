@@ -2,8 +2,7 @@ import random
 import sys
 
 import bwmlink.closed_forms as cf
-from bwmlink.closed_forms import (_row, parity_check, symmetry_check,
-                                  torus2_invariant)
+from bwmlink.closed_forms import _row, torus2_invariant
 from bwmlink.laurent import (DELTA, LaurentPoly2, LocalizedPoly, Specialization,
                              loop_value, r_pow, specialize)
 
@@ -105,28 +104,46 @@ class TestTorusInvariant:
             assert torus2_invariant(m) == direct
 
 
+def row_parity_holds(m: int) -> bool:
+    """Every term of a_m and c_m has total degree congruent to m mod 2, and
+    every term of b_m congruent to m+1."""
+    a, b, c = _row(m)
+
+    def all_parity(p: LaurentPoly2, parity: int) -> bool:
+        return all((ra + sb) % 2 == parity for ra, sb, _ in p.terms())
+
+    return (all_parity(a, m % 2) and all_parity(c, m % 2)
+            and all_parity(b, (m + 1) % 2))
+
+
+def torus_symmetric(m: int) -> bool:
+    """Whether T(2, m)'s closed form is unchanged under (r, s) -> (-r, -s)."""
+    value = torus2_invariant(m)
+    return value.flip_vars() == value
+
+
 class TestParity:
     def test_stated_cases(self):
-        assert parity_check(1)
-        assert parity_check(2)
-        assert parity_check(3)
+        assert row_parity_holds(1)
+        assert row_parity_holds(2)
+        assert row_parity_holds(3)
 
     def test_positive_range(self):
-        assert all(parity_check(m) for m in range(1, 11))
+        assert all(row_parity_holds(m) for m in range(1, 11))
 
     def test_negative_range_extends(self):
         # the pattern survives the descending recurrence as well
-        assert all(parity_check(m) for m in range(-6, 1))
+        assert all(row_parity_holds(m) for m in range(-6, 1))
 
 
 class TestSymmetry:
     def test_stated_cases(self):
-        assert symmetry_check(3)
-        assert symmetry_check(0)
-        assert symmetry_check(-2)
+        assert torus_symmetric(3)
+        assert torus_symmetric(0)
+        assert torus_symmetric(-2)
 
     def test_range(self):
-        assert all(symmetry_check(m) for m in range(-6, 9))
+        assert all(torus_symmetric(m) for m in range(-6, 9))
 
 
 def _stack_depth() -> int:
@@ -164,7 +181,7 @@ class TestRowsWithoutRecursion:
         sys.setrecursionlimit(low)
         try:
             m = low + 10
-            assert parity_check(m) and parity_check(-m)
+            assert row_parity_holds(m) and row_parity_holds(-m)
             assert len(_row(m)) == len(_row(-m - 1)) == 3
         finally:
             sys.setrecursionlimit(limit)

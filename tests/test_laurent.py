@@ -7,10 +7,10 @@ from hypothesis import Phase, find, given, settings, strategies as st
 import bwmlink
 from bwmlink import laurent
 from bwmlink.laurent import (DELTA, X_NUM, LaurentPoly1, LaurentPoly2,
-                             LocalizedPoly, QFraction, Quotient, RationalFn2,
+                             LocalizedPoly, Quotient, RationalFn2,
                              Specialization, _div_delta, loop_value,
-                             one_var_equal, quantum_dimension, r_pow, s_pow,
-                             specialize, sums_of_products_equal)
+                             quantum_dimension, r_pow, s_pow, specialize,
+                             sums_of_products_equal)
 
 R = r_pow(1)
 S = s_pow(1)
@@ -461,12 +461,11 @@ class TestSpecialize:
         assert (specialize(p.flip_vars(), Specialization.osp(n))
                 == specialize(p, Specialization.so(n)))
 
-    def test_non_exact_division_gives_fraction(self):
-        v = specialize(LocalizedPoly(LaurentPoly2.const(1), 1),
+    def test_inexact_division_raises(self):
+        # 1 / (s - s^-1) is no engine value: its image is no polynomial in q
+        with pytest.raises(ValueError, match="does not divide"):
+            specialize(LocalizedPoly(LaurentPoly2.const(1), 1),
                        Specialization.osp(1))
-        assert isinstance(v, QFraction)
-        assert one_var_equal(v, QFraction(LaurentPoly1.const(1),
-                                          LaurentPoly1({1: 1, -1: -1})))
 
     @pytest.mark.parametrize("args", [(0, 1, 1), (1, 2, 1), (1, -1, 0),
                                       (-1, 1, -2)])
@@ -475,15 +474,9 @@ class TestSpecialize:
             Specialization(*args)
 
     def test_unsupported_value_raises(self):
-        for value in (3, LaurentPoly1.const(1)):
+        for value in (3, LaurentPoly1.const(1), Quotient(R, DELTA)):
             with pytest.raises(TypeError, match="cannot specialize"):
                 specialize(value, Specialization.osp(1))
-
-    def test_vanished_denominator_raises(self):
-        # r + s^2 -> -q^2 + q^2 under osp:1; a real exception, not an assert
-        value = RationalFn2(LaurentPoly2.const(1), R + S * S)
-        with pytest.raises(ZeroDivisionError):
-            specialize(value, Specialization.osp(1))
 
 
 class TestQuantumDimension:
