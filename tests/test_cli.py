@@ -298,6 +298,7 @@ class TestVerify:
         ["verify", "omega", "--max-f", str(DEPTH_CAP + 1)],
         ["verify", "sumrule", "--max-f", str(DEPTH_CAP + 1)],
         ["verify", "parity", "--m", f"0..{M_CAP + 1}"],
+        ["verify", "parity", "--m", f"-{M_CAP + 1}..0"],
         ["verify", "oracle", "--m", f"0..{M_CAP + 1}"],
         ["verify", "oracle", "--m", f"-{M_CAP + 1}..0"],
         ["verify", "symmetry", "--m", f"0..{M_CAP + 1}"],
@@ -332,6 +333,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "parity", "--m", f"1..{M_CAP}")
         assert code == 0
         assert out.count("PASS parity m=") == M_CAP
+        assert out.endswith(f"total: {M_CAP + 30} failures: 0\n")
+
+    def test_parity_at_negative_cap(self, capsys):
+        # negative m: the engine evaluates the mirror words
+        code, out, _ = run(capsys, "verify", "parity", "--m", f"-{M_CAP}..-1")
+        assert code == 0
+        assert out.count("PASS parity m=-") == M_CAP
         assert out.endswith(f"total: {M_CAP + 30} failures: 0\n")
 
     def test_lemma2_at_caps(self, capsys):
