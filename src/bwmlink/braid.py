@@ -202,19 +202,22 @@ def closure_diagram(b: BraidWord) -> PlanarDiagram:
     never entered by a letter close into free loops.
     """
     crossings: dict[int, int] = {}
-    arc_pairs: list[tuple[int, int]] = []
+    arcs: dict[int, int] = {}
     current: dict[int, int] = {}  # position -> open half-edge at the top
     lowest: dict[int, int] = {}  # position -> half-edge awaiting the closure arc
     for cid, (i, e) in enumerate(b.letters):
         h_bl, h_br, h_tr, h_tl = range(4 * cid, 4 * cid + 4)
         crossings[cid] = 1 if e > 0 else 0
         for pos, bottom in ((i, h_bl), (i + 1, h_br)):
-            if pos in current:
-                arc_pairs.append((current[pos], bottom))
-            else:
+            top = current.get(pos)
+            if top is None:
                 lowest[pos] = bottom
+            else:
+                arcs[top] = bottom
+                arcs[bottom] = top
         current[i], current[i + 1] = h_tl, h_tr
-    free_loops = b.strands - len(current)
     for pos, top in current.items():
-        arc_pairs.append((top, lowest[pos]))
-    return PlanarDiagram.build(crossings, arc_pairs, free_loops)
+        bottom = lowest[pos]
+        arcs[top] = bottom
+        arcs[bottom] = top
+    return PlanarDiagram(crossings, arcs, b.strands - len(current))

@@ -60,18 +60,6 @@ class PlanarDiagram(Record):
         init_field(self, "arcs", arcs)
         init_field(self, "free_loops", free_loops)
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def build(crossings: dict[int, int],
-              arc_pairs: Iterable[tuple[int, int]],
-              free_loops: int = 0) -> PlanarDiagram:
-        arcs: dict[int, int] = {}
-        for a, b in arc_pairs:
-            arcs[a] = b
-            arcs[b] = a
-        return PlanarDiagram(dict(crossings), arcs, free_loops)
-
     def validate(self) -> None:
         """Check the half-edge bookkeeping; raises on inconsistency."""
         for cid, over in self.crossings.items():

@@ -24,7 +24,8 @@ long division, on int-keyed term maps (``LaurentPoly2`` first maps r to a
 power of s wide enough to decode the quotient).  ``LaurentPoly2`` keys are
 (r_exp, s_exp) pairs; ``LaurentPoly1`` keys are plain ints, because 1-tuple
 keys made its product kernel 1.3-1.6x slower.  A ``LaurentPoly2`` product
-with a monomial m r^a s^b is a key shift by (a, b), scaled by m.
+with a monomial m r^a s^b is a key shift by (a, b), scaled by m
+unless m = 1.
 
 ``sums_of_products_equal`` decides exactly whether two sums of products
 of polynomials are equal without expanding them: it substitutes a power
@@ -208,8 +209,12 @@ class LaurentPoly2(_Laurent):
         mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
         if len(mono._terms) == 1:  # m r^a s^b: shift every key by (a, b)
             (((a, b), m),) = mono._terms.items()
-            return LaurentPoly2._make({(x + a, y + b): c if m == 1 else c * m
-                                       for (x, y), c in poly._terms.items()})
+            items = poly._terms.items()
+            if m == 1:
+                return LaurentPoly2._make({(x + a, y + b): c
+                                           for (x, y), c in items})
+            return LaurentPoly2._make({(x + a, y + b): c * m
+                                       for (x, y), c in items})
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -523,6 +528,9 @@ class LocalizedPoly:
     __slots__ = ("num", "k")
 
     def __init__(self, num: LaurentPoly2, k: int = 0):
+        if not isinstance(num, LaurentPoly2):
+            raise TypeError(f"numerator must be a LaurentPoly2, not "
+                            f"{type(num).__name__}; use LocalizedPoly.from_poly")
         if k < 0:
             raise ValueError("denominator exponent must be nonnegative")
         if num.is_zero:

@@ -83,7 +83,16 @@ N' = delta'^k sum p_i' y^i.  So ``specialize`` of an engine value divides
 exactly, and its ``ValueError`` for an inexact division never fires.
 
 The normalized invariant of a braid closure divides out r^(exponent sum);
-it takes the value 1 on the unknot.
+it takes the value 1 on the unknot.  That factor r^(-w), w the exponent
+sum, and the closure's kink sum form one pending r-power k, carried down
+as an exponent, not multiplied into the result.  ``_value`` adds its kink
+sum to k; when the reduced diagram is one part with no free loop it hands
+k to ``_connected``, which applies it in the pass that already copies the
+part's value: on a mirrored hit one pass builds (-1)^(c-1) r^k N(r^-1,
+s^-1), on a plain hit or after a miss one key shift makes r^k N, and with
+k = 0 the stored pair itself is returned.  Several parts or free loops
+take r^k on the small first factor X_NUM^split, before the product.  The
+memo never holds a shifted value: it stores the part's own (N, c).
 """
 
 from __future__ import annotations
@@ -126,31 +135,42 @@ class SkeinEngine:
     def cache_size(self) -> int:
         return len(self._cache) if self._cache is not None else 0
 
-    def regular_isotopy_poly(self, diagram: PlanarDiagram) -> LocalizedPoly:
-        """The unnormalized diagram value described in the module docstring;
-        (N, c - 1) is already in normal form, as proved there."""
-        num, c = self._value(diagram)
+    def regular_isotopy_poly(self, diagram: PlanarDiagram, *,
+                             shift: int = 0) -> LocalizedPoly:
+        """The unnormalized diagram value described in the module docstring,
+        times r^shift; (N, c - 1) is already in normal form, as proved there
+        (a power of r does not change that)."""
+        num, c = self._value(diagram, shift=shift)
         return LocalizedPoly._normal(num, c - 1)
 
-    def _value(self, diagram: PlanarDiagram,
-               near: set[int] | None = None) -> tuple[LaurentPoly2, int]:
-        """The diagram's (N, c) pair: value = N / delta^(c-1).  ``near``
-        holds a crossing of every kink or poke, as ``reduce`` needs."""
+    def _value(self, diagram: PlanarDiagram, near: set[int] | None = None,
+               shift: int = 0) -> tuple[LaurentPoly2, int]:
+        """The pair (N, c) with r^shift times the diagram's value equal to
+        N / delta^(c-1).  ``near`` holds a crossing of every kink or poke, as
+        ``reduce`` needs."""
         diagram, kink_sum = diagram.reduce(self._poke, near)
+        shift += kink_sum
         parts = diagram.connected_parts()
         split = diagram.free_loops + len(parts) - 1
         if split < 0:
             raise ValueError("the empty diagram has no value")
+        if not split and parts:  # one part and no free loop
+            return self._connected(parts[0], shift)
         num = X_NUM**split if split else ONE2
+        if shift:  # into the small first factor, not the product
+            num = r_pow(shift) * num
         c = diagram.free_loops
-        for i, part in enumerate(parts):
+        for part in parts:
             part_num, part_c = self._connected(part)
-            # X_NUM^0 = 1: the first part's numerator is taken as it is
-            num = num * part_num if split or i else part_num
+            num = num * part_num
             c += part_c
-        return (r_pow(kink_sum) * num if kink_sum else num), c
+        return num, c
 
-    def _connected(self, part: PlanarDiagram) -> tuple[LaurentPoly2, int]:
+    def _connected(self, part: PlanarDiagram,
+                   shift: int = 0) -> tuple[LaurentPoly2, int]:
+        """The (N, c) pair of r^shift times a connected part's value.  The
+        memo holds the unshifted pair; the shift is applied in the one pass
+        that copies the value, fused with the mirror on a mirrored hit."""
         key = mirrored = None
         if self._cache is not None:
             # a part with fewer over bits 1 than 0 is keyed by its mirror
@@ -161,7 +181,9 @@ class SkeinEngine:
                    if mirrored else part).canonical_key()
             hit = self._cache.get(key)
             if hit is not None:
-                return _mirror(*hit) if mirrored else hit
+                if mirrored:
+                    return _mirror(*hit, shift)
+                return (r_pow(shift) * hit[0], hit[1]) if shift else hit
         walk = part.traverse()
         c = walk.components
         if walk.switch_candidate is None:
@@ -177,23 +199,26 @@ class SkeinEngine:
             cap_num, cap_c = self._value(cap, near)
             num = _skein_step(self._value(switched, near)[0], state,
                               par_num, 1 + c - par_c, cap_num, 1 + c - cap_c)
-        value = (num, c)
         if self._cache is not None:
-            self._cache[key] = _mirror(*value) if mirrored else value
-        return value
+            self._cache[key] = _mirror(num, c) if mirrored else (num, c)
+        return (r_pow(shift) * num if shift else num), c
 
     def kauffman_polynomial(self, b: BraidWord) -> LocalizedPoly:
         """Normalized two-variable invariant of the braid's closure:
         r^(-exponent sum) times the regular-isotopy value, taken on the
-        freely reduced word (each cancelled pair is a Reidemeister II move)."""
-        return r_pow(-exponent_sum(b)) * self.regular_isotopy_poly(
-            closure_diagram(free_reduce(b)))
+        freely reduced word (each cancelled pair is a Reidemeister II move).
+        The factor r^(-exponent sum) goes down the recursion as the pending
+        r-power of the module docstring, not as a product on the result."""
+        return self.regular_isotopy_poly(closure_diagram(free_reduce(b)),
+                                         shift=-exponent_sum(b))
 
 
-def _mirror(num: LaurentPoly2, c: int) -> tuple[LaurentPoly2, int]:
-    """The (N, c) pair of the mirror image: (-1)^(c-1) N(r^-1, s^-1), c."""
+def _mirror(num: LaurentPoly2, c: int,
+            shift: int = 0) -> tuple[LaurentPoly2, int]:
+    """The (N, c) pair of r^shift times the mirror image's value:
+    (-1)^(c-1) r^shift N(r^-1, s^-1), c, built in one pass over N."""
     sign = 1 if c % 2 else -1
-    return LaurentPoly2._make({(-a, -b): sign * m
+    return LaurentPoly2._make({(shift - a, -b): sign * m
                                for (a, b), m in num._terms.items()}), c
 
 

@@ -1,12 +1,13 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bwmlink.braid import (BraidParseError, BraidWord, closure_diagram,
                            closure_permutation, component_count, conjugate,
                            exponent_sum, free_reduce, isotopy_moves,
                            parse_braid, stabilize)
+from bwmlink.diagram import PlanarDiagram
 
 
 @st.composite
@@ -189,7 +190,48 @@ class TestIsotopyMoves:
         assert kinds["relation"] == 0 and kinds["conjugate"] == 4
 
 
+def reference_closure(b: BraidWord) -> PlanarDiagram:
+    """The closure builder that collected a list of arc pairs and then
+    wrote both directions of each pair into a fresh arc dict: the reference
+    for ``closure_diagram``, which writes them as it goes."""
+    crossings: dict[int, int] = {}
+    arc_pairs: list[tuple[int, int]] = []
+    current: dict[int, int] = {}
+    lowest: dict[int, int] = {}
+    for cid, (i, e) in enumerate(b.letters):
+        h_bl, h_br, h_tr, h_tl = range(4 * cid, 4 * cid + 4)
+        crossings[cid] = 1 if e > 0 else 0
+        for pos, bottom in ((i, h_bl), (i + 1, h_br)):
+            if pos in current:
+                arc_pairs.append((current[pos], bottom))
+            else:
+                lowest[pos] = bottom
+        current[i], current[i + 1] = h_tl, h_tr
+    free_loops = b.strands - len(current)
+    for pos, top in current.items():
+        arc_pairs.append((top, lowest[pos]))
+    arcs: dict[int, int] = {}
+    for a, b_ in arc_pairs:
+        arcs[a] = b_
+        arcs[b_] = a
+    return PlanarDiagram(dict(crossings), arcs, free_loops)
+
+
 class TestClosureDiagram:
+    @given(braid_words(max_strands=5))
+    @example(BraidWord(1, ()))
+    @example(BraidWord(4, ()))
+    @example(BraidWord(5, ((2, 1), (2, -1))))
+    @example(BraidWord(5, ((4, -1), (1, 1), (4, -1))))
+    @settings(max_examples=80)
+    def test_matches_pair_list_builder(self, w):
+        d, ref = closure_diagram(w), reference_closure(w)
+        assert d == ref
+        # the same insertion order, so every walk over the dicts is the same
+        assert list(d.arcs.items()) == list(ref.arcs.items())
+        assert list(d.crossings.items()) == list(ref.crossings.items())
+        d.validate()
+
     def test_identity_braid(self):
         d = closure_diagram(parse_braid("B3:"))
         assert d.crossing_count == 0 and d.free_loops == 3

@@ -235,6 +235,11 @@ class TestLocalized:
         assert lhs == loop_value()
         assert lhs.k == 1
 
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_int_numerator_raises(self, k):
+        with pytest.raises(TypeError, match="LocalizedPoly.from_poly"):
+            LocalizedPoly(1, k)
+
     def test_negative_denominator_exponent_raises(self):
         with pytest.raises(ValueError, match="nonnegative"):
             LocalizedPoly(R, -1)

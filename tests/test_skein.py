@@ -1,17 +1,20 @@
 import inspect
+import textwrap
 
 import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from bwmlink import skein
 from bwmlink.braid import (BraidWord, closure_diagram, closure_permutation,
-                           component_count, conjugate, parse_braid, stabilize)
+                           component_count, conjugate, exponent_sum,
+                           free_reduce, parse_braid, stabilize)
 from bwmlink.closed_forms import torus2_invariant
 from bwmlink.diagram import PlanarDiagram
 from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly1, LaurentPoly2,
                              LocalizedPoly, Specialization, loop_value, r_pow,
                              specialize)
-from bwmlink.skein import SkeinEngine, _skein_step, kauffman_polynomial
+from bwmlink.skein import (SkeinEngine, _mirror, _skein_step,
+                           kauffman_polynomial)
 from test_laurent import polys2, reference_mul
 
 X = loop_value()
@@ -498,6 +501,80 @@ class TestMirrorSharing:
         for k in range(2, 6):
             eng.kauffman_polynomial(BraidWord(3, ((1, 1), (2, 1)) * k))
         assert eng.cache_size == 55
+
+
+def torus_corpus(negative_first: bool) -> list[BraidWord]:
+    """T(2, m) for 0 < |m| <= 24, one sign of m before the other, then B3
+    (1 2)^k for k = 2..5."""
+    signs = (-1, 1) if negative_first else (1, -1)
+    return ([BraidWord(2, ((1, sign),) * m) for sign in signs
+             for m in range(1, 25)]
+            + [BraidWord(3, ((1, 1), (2, 1)) * k) for k in range(2, 6)])
+
+
+def pending_shift_holds(words) -> bool:
+    """One shared engine normalizes ``words`` in order; another takes the
+    same closures through ``regular_isotopy_poly`` alone.  Each normalized
+    value must be r^(-w) times the regular-isotopy value, and the two memos
+    must hold the same keys and pairs: r^(-w) never reaches the memo."""
+    engine, plain = SkeinEngine(), SkeinEngine()
+    for w in words:
+        value = engine.kauffman_polynomial(w)
+        direct = plain.regular_isotopy_poly(closure_diagram(free_reduce(w)))
+        if value != r_pow(-exponent_sum(w)) * direct:
+            return False
+    return engine._cache == plain._cache
+
+
+def connected_copy(old, new):
+    """A copy of ``SkeinEngine._connected`` with the source text ``old``
+    made ``new``."""
+    source = textwrap.dedent(inspect.getsource(SkeinEngine._connected))
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(skein))
+    exec(mutated, namespace)
+    return namespace["_connected"]
+
+
+class TestPendingShift:
+    """r^(-w) and the kink sums go down the recursion as one pending
+    r-power, applied to a part's value as it is copied, never stored."""
+
+    @pytest.mark.parametrize("negative_first", [True, False])
+    def test_torus_corpus(self, negative_first):
+        assert pending_shift_holds(torus_corpus(negative_first))
+
+    @given(st.lists(small_words(max_strands=4, max_len=8), min_size=1,
+                    max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_words(self, words):
+        assert pending_shift_holds(words)
+
+    def test_shifted_store_fails(self, monkeypatch):
+        # a copy that shifts the numerator before the memo stores it
+        store = "    if self._cache is not None:\n        self._cache[key]"
+        monkeypatch.setattr(SkeinEngine, "_connected", connected_copy(
+            store, "    if shift:\n"
+                   "        num, shift = r_pow(shift) * num, 0\n" + store))
+        assert not pending_shift_holds(torus_corpus(True))
+
+
+class TestMonomialKernel:
+    """A monomial product is a key shift, scaled unless the coefficient is
+    1, and ``_mirror`` with a shift is the shifted mirror."""
+
+    @given(polys2(), st.integers(-3, 3),
+           st.integers(-3, 3).filter(bool), st.sampled_from((1, -1, 3)),
+           st.integers(0, 4), st.integers(-5, 5))
+    @settings(max_examples=80)
+    def test_matches_double_loop(self, p, a, b, m, half_c, k):
+        for s_exp in (0, b):
+            mono = LaurentPoly2.term(m, a, s_exp)
+            assert mono * p == reference_mul(mono, p)
+            assert p * mono == reference_mul(p, mono)
+        for c in (2 * half_c + 1, 2 * half_c + 2):
+            assert _mirror(p, c, k) == (r_pow(k) * _mirror(p, c)[0], c)
 
 
 class TestFreeReduction:
