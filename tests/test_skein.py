@@ -40,14 +40,20 @@ def numerator_parity_holds(word):
     return all((a + b) % 2 == want for a, b in num._terms)
 
 
-def skein_step_copy(old, new):
-    """A copy of ``_skein_step`` with the source text ``old`` made ``new``."""
-    source = inspect.getsource(skein._skein_step)
+def skein_copy(fn, old, new):
+    """A copy of ``fn``, a function or method of ``skein``, with the source
+    text ``old`` made ``new``."""
+    source = textwrap.dedent(inspect.getsource(fn))
     mutated = source.replace(old, new)
     assert mutated != source
     namespace = dict(vars(skein))
     exec(mutated, namespace)
-    return namespace["_skein_step"]
+    return namespace[fn.__name__]
+
+
+def skein_step_copy(old, new):
+    """A copy of ``_skein_step`` with the source text ``old`` made ``new``."""
+    return skein_copy(skein._skein_step, old, new)
 
 
 class TestNumeratorParity:
@@ -526,17 +532,6 @@ def pending_shift_holds(words) -> bool:
     return engine._cache == plain._cache
 
 
-def connected_copy(old, new):
-    """A copy of ``SkeinEngine._connected`` with the source text ``old``
-    made ``new``."""
-    source = textwrap.dedent(inspect.getsource(SkeinEngine._connected))
-    mutated = source.replace(old, new)
-    assert mutated != source
-    namespace = dict(vars(skein))
-    exec(mutated, namespace)
-    return namespace["_connected"]
-
-
 class TestPendingShift:
     """r^(-w) and the kink sums go down the recursion as one pending
     r-power, applied to a part's value as it is copied, never stored."""
@@ -554,9 +549,10 @@ class TestPendingShift:
     def test_shifted_store_fails(self, monkeypatch):
         # a copy that shifts the numerator before the memo stores it
         store = "    if self._cache is not None:\n        self._cache[key]"
-        monkeypatch.setattr(SkeinEngine, "_connected", connected_copy(
-            store, "    if shift:\n"
-                   "        num, shift = r_pow(shift) * num, 0\n" + store))
+        monkeypatch.setattr(SkeinEngine, "_connected", skein_copy(
+            SkeinEngine._connected, store,
+            "    if shift:\n"
+            "        num, shift = r_pow(shift) * num, 0\n" + store))
         assert not pending_shift_holds(torus_corpus(True))
 
 
