@@ -56,6 +56,7 @@ MAX_STRANDS = 64  # cap on the strand count: free loops cost x^(loops - 1)
 
 _HEADER = re.compile(r"\s*[Bb](\d+)\s*:")
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?$")
+_SEPARATED = re.compile(r"[^\s,]+")  # a letter between separators
 
 
 def _number(text: str, where: int) -> int:
@@ -84,11 +85,9 @@ def parse_braid(text: str) -> BraidWord:
         raise BraidParseError(
             f"strand count {strands} over cap {MAX_STRANDS}", m.start(1))
     letters: list[tuple[int, int]] = []
-    pos = m.end()
-    rest = text[pos:]
-    for token_match in re.finditer(r"[^\s,]+", rest):
+    for token_match in _SEPARATED.finditer(text, m.end()):
         token = token_match.group()
-        where = pos + token_match.start()
+        where = token_match.start()
         tm = _TOKEN.match(token)
         if not tm:
             raise BraidParseError(f"malformed letter {token!r}", where)
@@ -104,7 +103,7 @@ def parse_braid(text: str) -> BraidWord:
         if len(letters) + abs(power) > MAX_LETTERS:
             raise BraidParseError(
                 f"word longer than {MAX_LETTERS} letters", where)
-        letters.extend((index, sign) for _ in range(abs(power)))
+        letters += [(index, sign)] * abs(power)
     return BraidWord(strands, tuple(letters))
 
 

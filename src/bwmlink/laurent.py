@@ -25,7 +25,7 @@ power of s wide enough to decode the quotient).  ``LaurentPoly2`` keys are
 (r_exp, s_exp) pairs; ``LaurentPoly1`` keys are plain ints, because 1-tuple
 keys made its product kernel 1.3-1.6x slower.  A ``LaurentPoly2`` product
 with a monomial m r^a s^b is a key shift by (a, b), scaled by m
-unless m = 1.
+unless m = 1; a ``LaurentPoly1`` product with m q^a shifts by a.
 
 ``sums_of_products_equal`` decides exactly whether two sums of products
 of polynomials are equal without expanding them: it substitutes a power
@@ -319,6 +319,11 @@ class LaurentPoly1(_Laurent):
     def __mul__(self, other: LaurentPoly1 | int) -> LaurentPoly1:
         if type(other) is not LaurentPoly1:
             return self._scaled(other)
+        mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
+        if len(mono._terms) == 1:  # m q^a: shift every key by a
+            ((a, m),) = mono._terms.items()
+            return LaurentPoly1._make({e + a: c * m
+                                       for e, c in poly._terms.items()})
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -708,9 +713,10 @@ class Specialization(Record):
         return Specialization(1, -1, n)
 
     def label(self) -> str:
-        if self == Specialization.osp(self.n):
+        signs = (self.sign_r, self.sign_s)
+        if signs == (-1, 1):
             return f"osp:{self.n}"
-        if self == Specialization.so(self.n):
+        if signs == (1, -1):
             return f"so:{self.n}"
         return f"({self.sign_r}*q^{2 * self.n}, {self.sign_s}*q)"
 

@@ -93,9 +93,30 @@ s^-1), on a plain hit or after a miss one key shift makes r^k N, and with
 k = 0 the stored pair itself is returned.  Several parts or free loops
 take r^k on the small first factor X_NUM^split, before the product.  The
 memo never holds a shifted value: it stores the part's own (N, c).
+
+An engine built with a ``Specialization`` r -> eps q^(2n), s -> eta q
+evaluates every numerator in Z[q^+-1] instead.  The substitution is a ring
+homomorphism and the recursion only adds, multiplies and calls five
+numerator operations, so each of its pairs (N', c) is the image of the
+two-variable (N, c).  Its ring, built once per ``Specialization``, supplies
+the images: one; X_NUM; r^k = eps^k q^(2nk), a key shift with a sign; the
+skein step, where delta' = eta (q - q^-1) makes delta^e q-shifted copies
+with the sign eta^shift; and the mirror.  A term r^a s^b maps to
+eps^a eta^b q^(2na+b), and r^-a s^-b to the same sign times q^-(2na+b),
+as eps, eta = +-1: the image of N(r^-1, s^-1) is N'(q^-1).  So the mirror
+is q -> q^-1 with the sign (-1)^(c-1), and the pending r^k fused into it
+adds eps^k and the shift 2nk.  Keys and memo layout are shared, with one
+memo per engine and so per ring: a ring engine holds exactly the keys of
+a two-variable engine, each entry the image of its pair.  The engine
+divides only once, at the end, by delta'^(c-1), exactly by the argument
+above, as c - 1 top-down passes of division by q - q^-1.
+``osp_invariant`` and ``so_invariant`` still specialize the two-variable
+value: they are this path's oracle.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .braid import BraidWord, closure_diagram, exponent_sum, free_reduce
 from .diagram import PlanarDiagram
@@ -123,25 +144,31 @@ class SkeinEngine:
     k <= 5 (Python 3.11, 2-vCPU Xeon): 0.016 s and 55 entries with the
     cache, 26 s without it.  Pokes prune most resolution nodes: B4
     (1 2 3)^4 takes 2.7 s without them and 0.13 s with them.  Turning
-    either off is for cross-checks only.
+    either off is for cross-checks only.  With a ``Specialization`` every
+    numerator lies in Z[q^+-1] (module docstring) and ``kauffman_polynomial``
+    returns the specialized invariant.
     """
 
-    def __init__(self, use_cache: bool = True, use_poke_reduction: bool = True):
-        self._cache: dict[tuple[int, ...], tuple[LaurentPoly2, int]] | None = (
+    def __init__(self, use_cache: bool = True, use_poke_reduction: bool = True,
+                 spec: Specialization | None = None):
+        self._cache: dict[tuple[int, ...],
+                          tuple[LaurentPoly2 | LaurentPoly1, int]] | None = (
             {} if use_cache else None)
         self._poke = use_poke_reduction
+        self._ring = _RingRS() if spec is None else _q_ring(spec)
 
     @property
     def cache_size(self) -> int:
         return len(self._cache) if self._cache is not None else 0
 
     def regular_isotopy_poly(self, diagram: PlanarDiagram, *,
-                             shift: int = 0) -> LocalizedPoly:
+                             shift: int = 0) -> LocalizedPoly | LaurentPoly1:
         """The unnormalized diagram value described in the module docstring,
         times r^shift; (N, c - 1) is already in normal form, as proved there
-        (a power of r does not change that)."""
+        (a power of r does not change that).  An engine built with a
+        ``Specialization`` returns the image in Z[q^+-1]."""
         num, c = self._value(diagram, shift=shift)
-        return LocalizedPoly._normal(num, c - 1)
+        return self._ring.divide(num, c - 1)
 
     def _value(self, diagram: PlanarDiagram, near: set[int] | None = None,
                shift: int = 0) -> tuple[LaurentPoly2, int]:
@@ -156,9 +183,10 @@ class SkeinEngine:
             raise ValueError("the empty diagram has no value")
         if not split and parts:  # one part and no free loop
             return self._connected(parts[0], shift)
-        num = X_NUM**split if split else ONE2
+        ring = self._ring
+        num = ring.x_num**split if split else ring.one
         if shift:  # into the small first factor, not the product
-            num = r_pow(shift) * num
+            num = ring.r_pow(shift) * num
         c = diagram.free_loops
         for part in parts:
             part_num, part_c = self._connected(part)
@@ -171,6 +199,7 @@ class SkeinEngine:
         """The (N, c) pair of r^shift times a connected part's value.  The
         memo holds the unshifted pair; the shift is applied in the one pass
         that copies the value, fused with the mirror on a mirrored hit."""
+        ring = self._ring
         key = mirrored = None
         if self._cache is not None:
             # a part with fewer over bits 1 than 0 is keyed by its mirror
@@ -182,14 +211,14 @@ class SkeinEngine:
             hit = self._cache.get(key)
             if hit is not None:
                 if mirrored:
-                    return _mirror(*hit, shift)
-                return (r_pow(shift) * hit[0], hit[1]) if shift else hit
+                    return ring.mirror(*hit, shift)
+                return (ring.r_pow(shift) * hit[0], hit[1]) if shift else hit
         walk = part.traverse()
         c = walk.components
         if walk.switch_candidate is None:
-            num = r_pow(walk.writhe)
+            num = ring.r_pow(walk.writhe)
             if c > 1:
-                num = num * X_NUM ** (c - 1)
+                num = num * ring.x_num ** (c - 1)
         else:
             x = walk.switch_candidate
             switched, par, cap = part.resolve(x)
@@ -197,11 +226,11 @@ class SkeinEngine:
             state = 1 if part.crossings[x] == 1 else -1
             par_num, par_c = self._value(par, near)
             cap_num, cap_c = self._value(cap, near)
-            num = _skein_step(self._value(switched, near)[0], state,
-                              par_num, 1 + c - par_c, cap_num, 1 + c - cap_c)
+            num = ring.step(self._value(switched, near)[0], state,
+                            par_num, 1 + c - par_c, cap_num, 1 + c - cap_c)
         if self._cache is not None:
-            self._cache[key] = _mirror(num, c) if mirrored else (num, c)
-        return (r_pow(shift) * num if shift else num), c
+            self._cache[key] = ring.mirror(num, c) if mirrored else (num, c)
+        return (ring.r_pow(shift) * num if shift else num), c
 
     def kauffman_polynomial(self, b: BraidWord) -> LocalizedPoly:
         """Normalized two-variable invariant of the braid's closure:
@@ -247,6 +276,87 @@ def _skein_step(sw: LaurentPoly2, state: int, par: LaurentPoly2, e_par: int,
                     del out[k]
     return LaurentPoly2._make(out)
 
+
+class _RingRS:
+    """Z[r^+-1, s^+-1], the default ring: the module's own operations,
+    looked up as each engine is built, so that an engine built after one of
+    them is replaced uses the replacement."""
+
+    def __init__(self):
+        self.one, self.x_num, self.r_pow = ONE2, X_NUM, r_pow
+        self.step, self.mirror = _skein_step, _mirror
+        self.divide = LocalizedPoly._normal
+
+
+class _QRing:
+    """Z[q^+-1] under r -> eps q^(2n), s -> eta q: the images of the
+    engine's numerator operations, and the one exact division at the end."""
+
+    def __init__(self, spec: Specialization):
+        self.spec, self.two_n = spec, 2 * spec.n
+        self.eps, self.eta = spec.sign_r, spec.sign_s
+        self.one = LaurentPoly1.const(1)
+        self.x_num = specialize(X_NUM, spec)
+        # delta^e as (q-shift, coefficient) pairs: s^k -> eta^k q^k
+        self.deltas = tuple(tuple((k, m * self.eta if k % 2 else m)
+                                  for k, m in p) for p in _DELTA_POWERS)
+
+    def r_pow(self, k: int) -> LaurentPoly1:
+        return LaurentPoly1._make({self.two_n * k: self.eps if k % 2 else 1})
+
+    def mirror(self, num: LaurentPoly1, c: int,
+               shift: int = 0) -> tuple[LaurentPoly1, int]:
+        """The image of ``_mirror``: q -> q^-1 with the sign (-1)^(c-1)
+        eps^shift, and the q-shift of r^shift, in one pass."""
+        sign = 1 if c % 2 else -1
+        if shift % 2:
+            sign *= self.eps
+        e = self.two_n * shift
+        return LaurentPoly1._make({e - a: sign * m
+                                   for a, m in num._terms.items()}), c
+
+    def step(self, sw: LaurentPoly1, state: int, par: LaurentPoly1,
+             e_par: int, cap: LaurentPoly1, e_cap: int) -> LaurentPoly1:
+        """The image of ``_skein_step``: delta^e as q-shifted copies."""
+        if not (0 <= e_par <= 2 and 0 <= e_cap <= 2):
+            raise ValueError(f"delta exponents {e_par}, {e_cap} outside 0..2")
+        out = dict(sw._terms)
+        get = out.get
+        for poly, e, sign in ((par, e_par, state), (cap, e_cap, -state)):
+            items = poly._terms.items()
+            for shift, m in self.deltas[e]:
+                m *= sign
+                for a, c in items:
+                    k = a + shift
+                    n = get(k, 0) + m * c
+                    if n:
+                        out[k] = n
+                    else:
+                        del out[k]
+        return LaurentPoly1._make(out)
+
+    def divide(self, num: LaurentPoly1, k: int) -> LaurentPoly1:
+        """num / delta'^k, exact for every engine value (module docstring):
+        k divisions by q - q^-1, each the recurrence Q_(b-1) = p_b + Q_(b+1)
+        from the top down, then the sign eta^k."""
+        terms = num._terms
+        for _ in range(k if terms else 0):
+            out, get = {}, terms.get
+            above = here = 0  # Q_(b+1) and Q_b
+            for b in range(max(terms), min(terms) - 1, -1):
+                below = get(b, 0) + above
+                if below:
+                    out[b - 1] = below
+                above, here = here, below
+            if above or here:
+                raise ValueError(f"(s - s^-1)^{k} does not divide the "
+                                 f"numerator under {self.spec.label()}")
+            terms = out
+        quot = LaurentPoly1._make(terms)
+        return -quot if self.eta < 0 and k % 2 else quot
+
+
+_q_ring = functools.cache(_QRing)  # one ring per Specialization
 
 _default_engine = SkeinEngine()
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -100,6 +101,99 @@ class TestParse:
     def test_strand_count_zero(self):
         with pytest.raises(BraidParseError):
             parse_braid("B0:")
+
+
+def reference_parse(text: str) -> BraidWord:
+    """``parse_braid`` as it was before its separator regex was compiled
+    once and powers were expanded by list repetition: the oracle for the
+    trimmed parser."""
+    import bwmlink.braid as braid
+    m = braid._HEADER.match(text)
+    if not m:
+        raise BraidParseError("expected 'B<f>:' prefix", 0)
+    strands = braid._number(m.group(1), m.start(1))
+    if strands < 1:
+        raise BraidParseError("strand count must be at least 1", m.start(1))
+    if strands > braid.MAX_STRANDS:
+        raise BraidParseError(
+            f"strand count {strands} over cap {braid.MAX_STRANDS}", m.start(1))
+    letters: list[tuple[int, int]] = []
+    pos = m.end()
+    rest = text[pos:]
+    for token_match in re.finditer(r"[^\s,]+", rest):
+        token = token_match.group()
+        where = pos + token_match.start()
+        tm = braid._TOKEN.match(token)
+        if not tm:
+            raise BraidParseError(f"malformed letter {token!r}", where)
+        base = braid._number(tm.group(1), where)
+        if base == 0:
+            raise BraidParseError("generator index 0 is not valid", where)
+        power = braid._number(tm.group(2), where) if tm.group(2) else 1
+        index = abs(base)
+        if index > strands - 1:
+            raise BraidParseError(
+                f"generator index {index} out of range 1..{strands - 1}", where)
+        sign = (1 if base > 0 else -1) * (1 if power >= 0 else -1)
+        if len(letters) + abs(power) > braid.MAX_LETTERS:
+            raise BraidParseError(
+                f"word longer than {braid.MAX_LETTERS} letters", where)
+        letters.extend((index, sign) for _ in range(abs(power)))
+    return BraidWord(strands, tuple(letters))
+
+
+def parse_outcome(parse, text: str):
+    """The word, or the message and position of the parse error."""
+    try:
+        return parse(text)
+    except BraidParseError as err:
+        return str(err), err.position
+
+
+# letters with powers, ^0 and ^-k; malformed tokens; numbers over the
+# digit cap; powers over the letter cap
+TOKENS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["", "-", "+"]),
+              st.integers(0, 6)),
+    st.builds("{}{}^{}{}".format, st.sampled_from(["", "-"]),
+              st.integers(0, 6), st.sampled_from(["", "-", "+"]),
+              st.integers(0, 12)),
+    st.sampled_from(["x", "1^", "^2", "1^2^3", "--1", "1.5", "1^x", "B2:",
+                     "9" * 19, "1^" + "9" * 19, "-1^-" + "9" * 19,
+                     "1^10001", "1^-5000", "2^9999"]),
+)
+SEPARATORS = st.sampled_from([" ", ",", ", ", " ,", "\t", "  ", ",,", "\n"])
+HEADERS = st.sampled_from(["B1:", "B2:", "B3:", "b4 :", "  B5:", "B0:",
+                           "B65:", "B64:", "X3:", "B3", "B" + "9" * 19 + ":"])
+
+
+@st.composite
+def braid_texts(draw):
+    tokens = draw(st.lists(TOKENS, max_size=8))
+    text = draw(HEADERS)
+    for token in tokens:
+        text += draw(SEPARATORS) + token
+    return text + draw(st.sampled_from(["", " ", ","]))
+
+
+class TestTrimmedParser:
+    """The compiled separator and the repeated-list expansion change no
+    word, message or position."""
+
+    @given(braid_texts())
+    @example("B2: 1^3 -1^-2, 1^0,,-1")
+    @example("B3: 1 x")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, text):
+        assert parse_outcome(parse_braid, text) == parse_outcome(
+            reference_parse, text)
+
+    def test_expansion_cap_position(self):
+        # the capped token is the third one, at position 18
+        outcome = parse_outcome(parse_braid, "B2: 1^5000 1^5000 1^1")
+        assert outcome == ("word longer than 10000 letters (at position 18)",
+                           18)
+        assert outcome == parse_outcome(reference_parse, "B2: 1^5000 1^5000 1^1")
 
 
 class TestStatistics:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from bwmlink.bratteli import young_level
-from bwmlink.cli import DEPTH_CAP, M_CAP, N_CAP, SIGNS_CAP, _value_json, main
+from bwmlink.cli import (DEPTH_CAP, M_CAP, N_CAP, SIGNS_CAP, _value_json,
+                         build_parser, main)
 from bwmlink.laurent import LaurentPoly1, Quotient
 from bwmlink.skein import SkeinEngine
 
@@ -111,6 +112,26 @@ class TestInvariant:
         _, fresh, _ = run(capsys, *argv)
         assert after_error == fresh and "value[so:1](q)" in fresh
 
+    def test_spec_evaluated_in_q(self, capsys, monkeypatch):
+        # --spec builds the engine in Z[q^+-1]: its memo holds no
+        # two-variable numerator
+        import bwmlink.cli as cli
+        built = []
+
+        class Recording(SkeinEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "SkeinEngine", Recording)
+        code, out, _ = run(capsys, "invariant", "--braid", "B3: 1 2 1 2",
+                           "--spec", "so:2")
+        assert code == 0 and "value[so:2](q) = " in out
+        (engine,) = built
+        assert engine.cache_size > 0
+        assert all(type(num) is LaurentPoly1
+                   for num, _ in engine._cache.values())
+
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "invariant", "--braid", "B2: 1",
                          "--spec", "sp:1")
@@ -140,6 +161,70 @@ class TestInvariant:
                            "--out", str(target))
         assert code == 0 and out == ""
         assert "F(r,s) = 1" in target.read_text()
+
+
+class TestDispatch:
+    """A named command is parsed by its own parser; help, a missing and an
+    unknown command go through the top-level parser.  Exit codes and help
+    text are those of one top-level parse."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["invariant"], ["invariant", "--braid", "B2: 1", "--bogus"],
+        ["verify"], ["torus", "--m", "x"],
+    ], ids=repr)
+    def test_usage_errors_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: bwmlink")
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["--bogus"]], ids=repr)
+    def test_top_level_errors(self, capsys, argv):
+        _, _, err = run(capsys, *argv)
+        assert err.startswith("usage: bwmlink [-h] ")
+        assert err.splitlines()[-1].startswith("bwmlink: error: ")
+
+    def test_unrecognized_argument_names_the_command(self, capsys):
+        # the one message that differs from a top-level parse, which
+        # printed the top-level usage and "bwmlink: error: ..." here
+        code, _, err = run(capsys, "invariant", "--braid", "B2: 1", "--bogus")
+        assert code == 2
+        assert err.startswith("usage: bwmlink invariant [-h] --braid BRAID")
+        assert err.splitlines()[-1] == (
+            "bwmlink invariant: error: unrecognized arguments: --bogus")
+
+    def test_missing_argument_names_the_command(self, capsys):
+        _, _, err = run(capsys, "invariant")
+        assert err.splitlines()[-1] == ("bwmlink invariant: error: the "
+                                        "following arguments are required: "
+                                        "--braid")
+
+    @pytest.mark.parametrize("argv, command", [
+        (["--help"], None), (["-h"], None), (["invariant", "--help"], "invariant"),
+        (["torus", "-h"], "torus"), (["bratteli", "--help"], "bratteli"),
+        (["verify", "--help"], "verify"),
+    ], ids=repr)
+    def test_help(self, capsys, argv, command):
+        parser, commands = build_parser()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (commands[command] if command else parser).format_help()
+
+    def test_named_command_skips_top_level(self, capsys, monkeypatch):
+        parser, _ = build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse of a named command")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        code, out, _ = run(capsys, "invariant", "--braid", "B2: 1")
+        assert code == 0 and "F(r,s) = 1" in out
+
+    def test_m_range_join(self, capsys):
+        # "--m -3..3" is joined to "--m=-3..3" before dispatch
+        code, out, _ = run(capsys, "verify", "oracle", "--m", "-3..3")
+        assert code == 0
+        assert out.count("PASS oracle m=") == 7
+        assert out.endswith("total: 7 failures: 0\n")
 
 
 class TestUnwritableOut:

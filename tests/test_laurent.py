@@ -296,6 +296,25 @@ def polys1(draw, max_terms=4, max_exp=4, max_coeff=5):
     return LaurentPoly1(terms)
 
 
+class TestMonomialProduct1:
+    """A ``LaurentPoly1`` product with a one-term operand is a key shift
+    too, scaled by the coefficient."""
+
+    @given(polys1(), st.integers(-4, 4), st.sampled_from((1, -1, 2, -3)))
+    @settings(max_examples=80)
+    def test_matches_convolution(self, p, a, m):
+        mono = LaurentPoly1.term(m, a)
+        for x, y in ((p, mono), (mono, p), (mono, mono),
+                     (LaurentPoly1(), mono), (mono, LaurentPoly1())):
+            expected: dict[int, int] = {}
+            for e1, c1 in x._terms.items():
+                for e2, c2 in y._terms.items():
+                    expected[e1 + e2] = expected.get(e1 + e2, 0) + c1 * c2
+            product = x * y
+            assert product == LaurentPoly1(expected)
+            assert 0 not in product._terms.values()
+
+
 class TestExactDivBothClasses:
     """Both classes divide with the one long division: the result is None
     or an exact quotient, and never None when a quotient exists."""
@@ -482,6 +501,22 @@ class TestSpecialize:
         for value in (3, LaurentPoly1.const(1), Quotient(R, DELTA)):
             with pytest.raises(TypeError, match="cannot specialize"):
                 specialize(value, Specialization.osp(1))
+
+
+class TestSpecializationLabel:
+    """``label`` names the osp and so sign pairs and spells out the others."""
+
+    @pytest.mark.parametrize("sign_r, sign_s, n, label", [
+        (-1, 1, 1, "osp:1"), (-1, 1, 7, "osp:7"),
+        (1, -1, 2, "so:2"), (1, -1, 100, "so:100"),
+        (1, 1, 3, "(1*q^6, 1*q)"), (-1, -1, 2, "(-1*q^4, -1*q)"),
+    ])
+    def test_label(self, sign_r, sign_s, n, label):
+        assert Specialization(sign_r, sign_s, n).label() == label
+
+    def test_named_constructors(self):
+        assert Specialization.osp(4).label() == "osp:4"
+        assert Specialization.so(5).label() == "so:5"
 
 
 class TestQuantumDimension:

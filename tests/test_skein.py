@@ -18,6 +18,7 @@ from bwmlink.skein import (SkeinEngine, _mirror, _skein_step,
 from test_laurent import polys2, reference_mul
 
 X = loop_value()
+ONE1 = LaurentPoly1.const(1)
 
 
 @st.composite
@@ -692,6 +693,11 @@ class TestSkeinStep:
             _skein_step(ONE2, 1, ONE2, e, ONE2, 0)
         with pytest.raises(ValueError):
             _skein_step(ONE2, 1, ONE2, 0, ONE2, e)
+        step, one = skein._q_ring(Specialization.so(1)).step, ONE1
+        with pytest.raises(ValueError):
+            step(one, 1, one, e, one, 0)
+        with pytest.raises(ValueError):
+            step(one, 1, one, 0, one, e)
 
     def test_no_general_product(self, monkeypatch):
         # every product left in the recursion has a one-term operand, and
@@ -813,3 +819,115 @@ class TestSpecializedInvariants:
         for n in (1, 2, 3):
             spec = Specialization(sign_r, sign_s, n)
             assert type(specialize(value, spec)) is LaurentPoly1, (word, n)
+
+
+RING_SPECS = ([Specialization.osp(n) for n in (1, 2, 3)]
+              + [Specialization.so(n) for n in (1, 2, 3)])
+
+
+def ring_words() -> list[BraidWord]:
+    """The torus corpus, negative m first so that positive m is answered
+    through mirrored entries, then the CLI's Markov and braid-relation
+    words."""
+    from bwmlink.cli import BRAID_RELATION_CORPUS, MARKOV_CORPUS
+    return torus_corpus(True) + [parse_braid(text) for text in
+                                 MARKOV_CORPUS + BRAID_RELATION_CORPUS]
+
+
+def ring_agrees(spec: Specialization, words) -> bool:
+    """Whether one engine in Z[q^+-1], shared across ``words``, gives the
+    specialized two-variable value of each: the specialize-after oracle."""
+    ring = SkeinEngine(spec=spec)
+    return all(ring.kauffman_polynomial(w)
+               == specialize(SkeinEngine().kauffman_polynomial(w), spec)
+               for w in words)
+
+
+def ring_memo_holds(spec: Specialization, words) -> bool:
+    """Whether an engine in Z[q^+-1] and a two-variable engine fed the same
+    words hold the same memo keys, each ring entry the image of the
+    two-variable (N, c)."""
+    ring, plain = SkeinEngine(spec=spec), SkeinEngine()
+    for w in words:
+        ring.kauffman_polynomial(w)
+        plain.kauffman_polynomial(w)
+    return (ring._cache.keys() == plain._cache.keys()
+            and all(ring._cache[key] == (specialize(num, spec), c)
+                    for key, (num, c) in plain._cache.items()))
+
+
+@pytest.fixture
+def fresh_rings():
+    """Rings built inside the test, so a patched ``_QRing`` takes effect and
+    none of its rings outlives the test."""
+    skein._q_ring.cache_clear()
+    yield
+    skein._q_ring.cache_clear()
+
+
+class TestRingEngine:
+    """An engine built with a ``Specialization`` evaluates every numerator
+    in Z[q^+-1]; ``specialize`` of the two-variable value is its oracle."""
+
+    @pytest.mark.parametrize("spec", RING_SPECS, ids=Specialization.label)
+    @given(word=small_words(max_strands=5, max_len=9))
+    @settings(max_examples=40, deadline=None)
+    def test_words(self, spec, word):
+        value = SkeinEngine(spec=spec).kauffman_polynomial(word)
+        assert type(value) is LaurentPoly1
+        assert value == specialize(kauffman_polynomial(word), spec)
+
+    @pytest.mark.parametrize("spec", RING_SPECS, ids=Specialization.label)
+    def test_torus_closures(self, spec):
+        ring = SkeinEngine(spec=spec)
+        for m in range(-60, 61):
+            word = BraidWord(2, ((1, 1 if m > 0 else -1),) * abs(m))
+            assert (ring.kauffman_polynomial(word)
+                    == specialize(torus2_invariant(m), spec)), m
+
+    @pytest.mark.parametrize("spec", [Specialization.osp(1),
+                                      Specialization.so(2)],
+                             ids=Specialization.label)
+    def test_memo_corpus(self, spec):
+        assert ring_memo_holds(spec, ring_words())
+
+    @given(st.lists(small_words(max_strands=5, max_len=9), min_size=1,
+                    max_size=4), st.sampled_from(RING_SPECS))
+    @settings(max_examples=30, deadline=None)
+    def test_memo_words(self, words, spec):
+        assert ring_memo_holds(spec, words)
+
+    def test_one_ring_per_spec(self, fresh_rings):
+        assert (SkeinEngine(spec=Specialization.so(2))._ring
+                is SkeinEngine(spec=Specialization.so(2))._ring)
+        assert (SkeinEngine(spec=Specialization.so(2))._ring
+                is not SkeinEngine(spec=Specialization.osp(2))._ring)
+
+    def test_inexact_division_raises(self):
+        # 1 / (s - s^-1) is no engine value
+        divide = skein._q_ring(Specialization.osp(1)).divide
+        with pytest.raises(ValueError, match="does not divide"):
+            divide(ONE1, 1)
+        assert divide(LaurentPoly1(), 3).is_zero
+        assert divide(ONE1, 0) == ONE1
+
+    @pytest.mark.parametrize("method, old, new, spec", [
+        # eta dropped on the odd q-shifts of delta^e: visible where eta = -1
+        ("__init__", "(k, m * self.eta if k % 2 else m)", "(k, m)",
+         Specialization.so(1)),
+        # eps^k dropped on odd r-powers: visible where eps = -1
+        ("r_pow", "self.eps if k % 2 else 1", "1", Specialization.osp(1)),
+        # the mirror's (-1)^(c-1) dropped
+        ("mirror", "sign = 1 if c % 2 else -1", "sign = 1",
+         Specialization.osp(2)),
+        # eps^shift of the pending r-power dropped from the mirror
+        ("mirror", "sign *= self.eps", "pass", Specialization.osp(1)),
+    ], ids=["step-eta", "r-pow-eps", "mirror-sign", "mirror-eps"])
+    def test_mutants_fail(self, monkeypatch, fresh_rings, method, old, new,
+                          spec):
+        words = ring_words()
+        assert ring_agrees(spec, words)
+        mutant = skein_copy(getattr(skein._QRing, method), old, new)
+        monkeypatch.setattr(skein._QRing, method, mutant)
+        skein._q_ring.cache_clear()
+        assert not ring_agrees(spec, words)
