@@ -147,7 +147,7 @@ def _gap(k: int, e: int) -> LaurentPoly2:
     """r^k s^e - r^-k s^-e, 0 if k = e = 0: s^h - s^-h (k = 0) is the
     denominator factor of a box with hook length h, r s^d - r^-1 s^-d
     (k = 1) the numerator of a box off the diagonal; boxes share them."""
-    return LaurentPoly2({(k, e): 1, (-k, -e): -1} if k or e else {})
+    return LaurentPoly2.term(1, k, e) + LaurentPoly2.term(-1, -k, -e)
 
 
 def trace_weight(shape: Shape) -> Quotient:
@@ -431,7 +431,7 @@ def _weight_flips(shape: Shape) -> bool:
     mix parities."""
     flip = 0
     for factor, hook in _box_factors(shape):
-        parities = {(a + b) & 1 for a, b in factor._terms}
+        parities = factor.parities()
         if len(parities) > 1:
             raise ValueError(
                 f"a box factor of shape {list(shape)} mixes term parities")

@@ -16,16 +16,32 @@ Four value types:
   variables, never reduced and compared by cross-multiplication: the
   trace weights.  ``RationalFn2`` and ``QFraction`` are other names for it.
 
-The two polynomial classes share one sparse core, ``_Laurent``: a map from
-exponent key to nonzero coefficient, with everything that does not depend
-on the shape of the key.  Each subclass keeps only its product kernel and
-its key helpers; both ``exact_div`` methods call ``_long_div``, the one
-long division, on int-keyed term maps (``LaurentPoly2`` first maps r to a
-power of s wide enough to decode the quotient).  ``LaurentPoly2`` keys are
-(r_exp, s_exp) pairs; ``LaurentPoly1`` keys are plain ints, because 1-tuple
-keys made its product kernel 1.3-1.6x slower.  A ``LaurentPoly2`` product
-with a monomial m r^a s^b is a key shift by (a, b), scaled by m
-unless m = 1; a ``LaurentPoly1`` product with m q^a shifts by a.
+Keys.  Both polynomial classes map an int key to a nonzero coefficient.
+``LaurentPoly1`` keys q^e by e.  ``LaurentPoly2`` keys r^a s^b by
+k = a M + b, with M = ``KEY_M`` = 2^20 + 1 and |b| <= H = (M - 1) / 2,
+and decodes the balanced b = (k + H) mod M - H.  Keys are the images of
+r -> t^M, s -> t, a ring homomorphism into Z[t^+-1], one to one on terms
+with |b| <= H: an r-shift adds M, an s-shift 1, and the mirror with r^j,
+(a, b) -> (j - a, -b), is k -> j M - k.  As |b| < M / 2, sorted keys are
+sorted (a, b) pairs, which ``terms()``, text and JSON follow.  M is odd,
+so k = a + b (mod 2): ``flip_vars`` and ``parities`` read k & 1.
+
+Range.  The constructor and ``term`` raise ValueError for |b| > H = 2^19;
+arithmetic does not check, and every value the caps allow stays far
+below.  An engine numerator with cr crossings and c components has
+|b| <= cr + c - 1: a leaf r^w X_NUM^(c-1) has |b| <= c - 1, a skein step
+lifts a smoothing, one crossing fewer, by delta^(1 + c - c_smoothing),
+kinks, pokes, splits and the mirror keep the bound, and cr + c never
+grows down the recursion.  So |b| < 10 064 under the caps of ``braid``.
+The torus closed form at m has |b| <= |m| + 1, and a trace weight to
+depth 8 has |b| <= 36.  So M need be no larger, and every key with
+|a| <= 2^9 stays below 2^30, where a CPython int has one digit.
+
+One product kernel in ``_Laurent`` serves both classes, with a key shift
+for a monomial operand.  One recurrence, ``_div_delta``, divides by
+s - s^-1, column by column in r or once over a polynomial in q.
+``NumeratorRing`` gives the skein engine one step, one mirror and one
+r-power for both classes.  ``_long_div`` serves only ``exact_div``.
 
 ``sums_of_products_equal`` decides exactly whether two sums of products
 of polynomials are equal without expanding them: it substitutes a power
@@ -43,6 +59,23 @@ from collections.abc import Iterator, Mapping
 from math import gcd, prod
 
 from .record import Record, init_field
+
+KEY_M = (1 << 20) + 1  # the key of r in a LaurentPoly2 (module docstring)
+_HALF = KEY_M >> 1  # (M - 1) / 2, the largest |s-exponent| a key holds
+
+
+def _pack(a: int, b: int) -> int:
+    """The key a M + b of r^a s^b; ValueError when |b| > (M - 1) / 2."""
+    if not -_HALF <= b <= _HALF:
+        raise ValueError(f"s-exponent {b} outside the key range "
+                         f"-{_HALF}..{_HALF}")
+    return a * KEY_M + b
+
+
+def _unpack(k: int) -> tuple[int, int]:
+    """The pair (a, b) of the key k = a M + b, with b balanced."""
+    b = (k + _HALF) % KEY_M - _HALF
+    return (k - b) // KEY_M, b
 
 
 def _power(base, n: int):
@@ -65,11 +98,11 @@ def _power(base, n: int):
 class _Laurent:
     """Sparse Laurent polynomial with integer coefficients.
 
-    Terms are stored as a map exponent key -> coeff with no zero
-    coefficients.  Equality is term-map equality within one class;
-    polynomials in different variables are never equal.  A subclass names
-    its variables (``_NAMES``), converts between keys and exponent tuples
-    (``_key``, ``_exps``) and supplies ``__mul__`` and ``exact_div``.
+    Terms are stored as a map int key -> coeff with no zero coefficients.
+    Equality is term-map equality within one class; polynomials in
+    different variables are never equal.  A subclass names its variables
+    (``_NAMES``), decodes a key into exponents (``_exps``) and supplies
+    ``exact_div``.
     """
 
     __slots__ = ("_terms",)
@@ -87,7 +120,7 @@ class _Laurent:
 
     @classmethod
     def const(cls, n: int):
-        return cls({cls._key((0,) * len(cls._NAMES)): n})
+        return cls._make({0: n} if n else {})
 
     @property
     def is_zero(self) -> bool:
@@ -102,6 +135,10 @@ class _Laurent:
     def to_lists(self) -> list[list[int]]:
         """The terms as lists [exponents..., coeff], for JSON output."""
         return [list(t) for t in self.terms()]
+
+    def parities(self) -> set[int]:
+        """The parities of the terms' total degrees, k & 1 of each key."""
+        return {k & 1 for k in self._terms}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -143,27 +180,47 @@ class _Laurent:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, n):
-        """self * n for an int n; NotImplemented for any other operand."""
-        if not isinstance(n, int):
-            return NotImplemented
-        return self._make({k: c * n for k, c in self._terms.items()} if n else {})
+    def __mul__(self, other):
+        """The one product kernel: a key shift for a monomial operand,
+        scaled unless its coefficient is 1, else the double loop."""
+        if type(other) is not type(self):
+            if not isinstance(other, int):
+                return NotImplemented
+            return self._make({k: c * other for k, c in self._terms.items()}
+                              if other else {})
+        mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
+        if len(mono._terms) == 1:  # m t^j: shift every key by j
+            ((j, m),) = mono._terms.items()
+            items = poly._terms.items()
+            if m == 1:
+                return self._make({k + j: c for k, c in items})
+            return self._make({k + j: c * m for k, c in items})
+        out: dict[int, int] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = k1 + k2
+                n = out.get(k, 0) + c1 * c2
+                if n:
+                    out[k] = n
+                else:
+                    del out[k]
+        return self._make(out)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             if len(self._terms) == 1:
                 ((k, c),) = self._terms.items()
-                if c in (1, -1):
-                    key = self._key(tuple(e * n for e in self._exps(k)))
-                    return self._make({key: c ** (n & 1 or 2)})
+                if c in (1, -1):  # keys are a homomorphism: n k
+                    return self._make({k * n: c ** (n & 1 or 2)})
             raise ValueError("negative powers only for unit monomials")
         return _power(self, n) if n else self.const(1)
 
     def flip_vars(self):
         """The value with every variable negated: each term picks up
-        (-1)^(total degree)."""
-        exps = self._exps
-        return self._make({k: (-c if sum(exps(k)) % 2 else c)
+        (-1)^(total degree), the parity of its key."""
+        return self._make({k: -c if k & 1 else c
                            for k, c in self._terms.items()})
 
     def to_text(self) -> str:
@@ -193,93 +250,55 @@ class _Laurent:
 
 
 class LaurentPoly2(_Laurent):
-    """Sparse Laurent polynomial in r, s; terms keyed by (r_exp, s_exp)."""
+    """Sparse Laurent polynomial in r, s; r^a s^b is keyed by a M + b
+    (module docstring).  The constructor takes (r_exp, s_exp) keys."""
 
     __slots__ = ()
     _NAMES = ("r", "s")
-    _key = _exps = staticmethod(tuple)
+    _exps = staticmethod(_unpack)
+    # entries of this class, so that each can be wrapped on its own
+    __mul__ = __rmul__ = _Laurent.__mul__
+
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+        self._terms = ({_pack(a, b): c for (a, b), c in terms.items() if c}
+                       if terms else {})
 
     @staticmethod
     def term(coeff: int, r_exp: int = 0, s_exp: int = 0) -> LaurentPoly2:
-        return LaurentPoly2({(r_exp, s_exp): coeff})
-
-    def __mul__(self, other: LaurentPoly2 | int) -> LaurentPoly2:
-        if type(other) is not LaurentPoly2:
-            return self._scaled(other)
-        mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
-        if len(mono._terms) == 1:  # m r^a s^b: shift every key by (a, b)
-            (((a, b), m),) = mono._terms.items()
-            items = poly._terms.items()
-            if m == 1:
-                return LaurentPoly2._make({(x + a, y + b): c
-                                           for (x, y), c in items})
-            return LaurentPoly2._make({(x + a, y + b): c * m
-                                       for (x, y), c in items})
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                n = out.get(k, 0) + c1 * c2
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-        return LaurentPoly2._make(out)
-
-    __rmul__ = __mul__
+        return LaurentPoly2._make({_pack(r_exp, s_exp): coeff} if coeff else {})
 
     def exact_div(self, d: LaurentPoly2) -> LaurentPoly2 | None:
         """Exact quotient self / d in the Laurent ring, or None.
 
-        Method.  With lo = smin(self) - smax(d) and W = smax(self) - smin(d)
-        - lo + 1, the substitution r -> t^W, s -> t sends r^a s^b to
-        t^(W a + b); both images are divided by ``_long_div``, and each key
-        k of the quotient's image is decoded as a = (k - lo) // W,
-        b = lo + (k - lo) % W.  The decoded value is returned only if its
-        product with d is self.
-
-        Why decoding is exact when a quotient q exists.  Z[r^+-1] has no
-        zero divisors, so the top and bottom s-degrees of a product are the
-        sums of its factors': every term r^a s^b of q has
-        smin(self) - smin(d) <= b <= smax(self) - smax(d), so 0 <= b - lo
-        <= smax(self) - smin(self) < W.  On such terms the substitution is
-        one to one, so the image of q has no cancelled or merged terms and
-        decodes back to q.  The substitution is a ring homomorphism into
-        Z[t^+-1], which has no zero divisors either, so the image of self
-        is the image of q times the image of d, and that quotient is
-        unique.  ``_long_div`` finds it: each remainder is the rest of the
-        quotient times the image of d, so neither of its stops fires.  So
-        q is returned, never None.
-
-        Why the check rejects aliased quotients.  When no quotient exists
-        the images may still divide: 1 - r and 1 - s give 1 - t^2 and
-        1 - t.  The decoded value then times d is not self, since it would
-        otherwise be a quotient, so None is returned.
+        ``_long_div`` divides the keys, the images under r -> t^M, s -> t.
+        Z[r^+-1] has no zero divisors, so the top and bottom s-degrees of a
+        product are the sums of its factors': every term r^a s^b of a
+        quotient q has lo <= b <= hi, lo = smin(self) - smin(d) and
+        hi = smax(self) - smax(d).  Keys are one to one on such terms, so
+        the image of q is the unique quotient of the images in the domain
+        Z[t^+-1], found from the top key down; a quotient key with b
+        outside lo..hi shows that no q exists and stops the division.  The
+        result must still give self back when multiplied by d.
         """
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly2()
-        ps = [b for _, b in self._terms]
-        ds = [b for _, b in d._terms]
-        lo = min(ps) - max(ds)
-        width = max(ps) - min(ds) - lo + 1
-        quot = _long_div({width * a + b: c for (a, b), c in self._terms.items()},
-                         {width * a + b: c for (a, b), c in d._terms.items()})
+        ps = [_unpack(k)[1] for k in self._terms]
+        ds = [_unpack(k)[1] for k in d._terms]
+        lo, hi = min(ps) - min(ds), max(ps) - max(ds)
+        quot = _long_div(self._terms, d._terms,
+                         lambda k: lo <= _unpack(k)[1] <= hi)
         if quot is None:
             return None
-        terms = {}
-        for k, c in quot.items():
-            a, b = divmod(k - lo, width)
-            terms[(a, b + lo)] = c
-        out = LaurentPoly2._make(terms)
+        out = LaurentPoly2._make(quot)
         return out if out * d == self else None
 
     to_triples = _Laurent.to_lists
 
 
 def r_pow(e: int = 1) -> LaurentPoly2:
-    return LaurentPoly2.term(1, e, 0)
+    return LaurentPoly2._make({e * KEY_M: 1})
 
 
 def s_pow(e: int = 1) -> LaurentPoly2:
@@ -305,37 +324,12 @@ class LaurentPoly1(_Laurent):
     _NAMES = ("q",)
 
     @staticmethod
-    def _key(exps: tuple[int]) -> int:
-        return exps[0]
-
-    @staticmethod
     def _exps(e: int) -> tuple[int]:
         return (e,)
 
     @staticmethod
     def term(coeff: int, q_exp: int = 0) -> LaurentPoly1:
         return LaurentPoly1({q_exp: coeff})
-
-    def __mul__(self, other: LaurentPoly1 | int) -> LaurentPoly1:
-        if type(other) is not LaurentPoly1:
-            return self._scaled(other)
-        mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
-        if len(mono._terms) == 1:  # m q^a: shift every key by a
-            ((a, m),) = mono._terms.items()
-            return LaurentPoly1._make({e + a: c * m
-                                       for e, c in poly._terms.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                k = e1 + e2
-                n = out.get(k, 0) + c1 * c2
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-        return LaurentPoly1._make(out)
-
-    __rmul__ = __mul__
 
     def exact_div(self, d: LaurentPoly1) -> LaurentPoly1 | None:
         if d.is_zero:
@@ -344,9 +338,11 @@ class LaurentPoly1(_Laurent):
         return None if quot is None else LaurentPoly1._make(quot)
 
 
-def _long_div(p: dict[int, int], d: dict[int, int]) -> dict[int, int] | None:
+def _long_div(p: dict[int, int], d: dict[int, int],
+              fits=None) -> dict[int, int] | None:
     """Exact quotient of int-keyed term maps p / d (d nonzero) by long
-    division from the top term, or None when d does not divide p."""
+    division from the top term, or None when d does not divide p.  A
+    quotient key that ``fits`` rejects gives None at once."""
     rem = dict(p)
     dlt = max(d)
     dlc = d[dlt]
@@ -361,6 +357,8 @@ def _long_div(p: dict[int, int], d: dict[int, int]) -> dict[int, int] | None:
             return None
         q = lc // dlc
         e = lt - dlt
+        if fits is not None and not fits(e):
+            return None
         quot[e] = q
         for de, dc in d.items():
             k = de + e
@@ -390,7 +388,9 @@ def sums_of_products_equal(lhs, rhs) -> bool:
     becomes s^W, with W odd and above the s-span of the difference (the
     highest s-degree of any product minus the lowest), so distinct
     monomials r^a s^b of D go to distinct powers s^(W a + b), and W a + b
-    keeps the parity of a + b.  Let d be the gcd of the exponent gaps
+    keeps the parity of a + b.  Each distinct factor's keys are decoded
+    once and re-keyed with W: the keys' own r -> t^(KEY_M) would make every
+    int about KEY_M / W times longer.  Let d be the gcd of the exponent gaps
     inside the flattened factors (1 if every factor is a monomial), and
     write each factor as s^lo g(s^d).  Then s^d (or q^d) becomes B.  Each
     g, as terms c B^e, is multiplied into its product's int v as the sum
@@ -443,16 +443,19 @@ def sums_of_products_equal(lhs, rhs) -> bool:
         return True
     flats = {i: f._terms for i, f in distinct.items() if f._terms}
     if LaurentPoly2 in classes:
-        # each distinct factor's s-degree range, then its flattened terms
-        lows, highs = {}, {}
+        # each distinct factor's terms as (a, key, coeff), decoded once,
+        # and its s-degree range; then a M + b becomes W a + b
+        cols, lows, highs = {}, {}, {}
         for i, terms in flats.items():
-            s_exps = [b for _, b in terms]
+            cols[i] = [((k + _HALF) // KEY_M, k, c) for k, c in terms.items()]
+            s_exps = [k - a * KEY_M for a, k, _ in cols[i]]
             lows[i], highs[i] = min(s_exps), max(s_exps)
         low = min(sum(map(lows.__getitem__, ids)) for _, ids in products)
         high = max(sum(map(highs.__getitem__, ids)) for _, ids in products)
         width = (high - low + 1) | 1
-        flats = {i: {width * a + b: c for (a, b), c in terms.items()}
-                 for i, terms in flats.items()}
+        shrink = KEY_M - width
+        flats = {i: {k - a * shrink: c for a, k, c in terms}
+                 for i, terms in cols.items()}
     los = {i: min(terms) for i, terms in flats.items()}
     step = gcd(*(e - los[i] for i, terms in flats.items() for e in terms)) or 1
     packed, span_per_term = {}, {}
@@ -490,34 +493,39 @@ def sums_of_products_equal(lhs, rhs) -> bool:
 # localization at (s - s^-1)
 
 
-def _div_delta(p: LaurentPoly2) -> LaurentPoly2 | None:
-    """Exact quotient p / (s - s^-1), or None; linear in the s-span of p.
+def _div_delta(terms: dict[int, int], columns: bool) -> dict[int, int] | None:
+    """Exact quotient of an int-keyed term map by t - t^-1, the image of
+    s - s^-1 in both key formats, or None; linear in the span it walks.
 
-    Column by column in r: writing p_b and q_b for the coefficients of s^b,
-    p = q * (s - s^-1) means p_b = q_(b-1) - q_(b+1), so q_(b-1) = p_b +
-    q_(b+1) from the top s-degree down.  The division is exact when the
-    recurrence ends with q_lo = q_(lo-1) = 0, lo being the column's lowest
-    s-degree.
+    Writing p_j and q_j for the coefficients of t^j, p = q (t - t^-1) means
+    p_j = q_(j-1) - q_(j+1), so q_(j-1) = p_j + q_(j+1) from the top key
+    down.  The division is exact when the recurrence ends with
+    q_lo = q_(lo-1) = 0, lo being the run's lowest key.  With ``columns``
+    (a ``LaurentPoly2``) each r-column, the keys a M + b of one a, is a run
+    of its own, as s - s^-1 divides a polynomial exactly when it divides
+    each column: the recurrence never walks the keys between columns.
+    Without, one run covers the whole polynomial in q.
     """
-    cols: dict[int, dict[int, int]] = {}
-    for (a, b), c in p._terms.items():
-        col = cols.get(a)
-        if col is None:
-            cols[a] = {b: c}
-        else:
-            col[b] = c
-    out: dict[tuple[int, int], int] = {}
-    for a, col in cols.items():
-        above, here = 0, 0  # q_(b+1), q_b
-        get = col.get
-        for b in range(max(col), min(col) - 1, -1):
-            below = get(b, 0) + above  # q_(b-1)
+    if not terms:
+        return {}
+    runs = (terms,)
+    if columns:
+        by_a: dict[int, dict[int, int]] = {}
+        for k, c in terms.items():
+            by_a.setdefault((k + _HALF) // KEY_M, {})[k] = c
+        runs = by_a.values()
+    out: dict[int, int] = {}
+    for run in runs:
+        above = here = 0  # q_(j+1), q_j
+        get = run.get
+        for j in range(max(run), min(run) - 1, -1):
+            below = get(j, 0) + above  # q_(j-1)
             if below:
-                out[(a, b - 1)] = below
+                out[j - 1] = below
             above, here = here, below
         if above or here:
             return None
-    return LaurentPoly2._make(out)
+    return out
 
 
 class LocalizedPoly:
@@ -542,10 +550,10 @@ class LocalizedPoly:
             num, k = ZERO2, 0
         else:
             while k > 0:
-                q = _div_delta(num)
+                q = _div_delta(num._terms, True)
                 if q is None:
                     break
-                num, k = q, k - 1
+                num, k = LaurentPoly2._make(q), k - 1
         self.num = num
         self.k = k
 
@@ -631,6 +639,76 @@ class LocalizedPoly:
 def loop_value() -> LocalizedPoly:
     """The value x = (r - r^-1)/(s - s^-1) + 1 of a disjoint unknotted loop."""
     return LocalizedPoly(X_NUM, 1)
+
+
+# ---------------------------------------------------------------------------
+# the skein engine's numerator ring
+
+
+# delta^e for e = 0, 1, 2 as (s-shift, coefficient) pairs
+_DELTA_POWERS = (((0, 1),), ((1, 1), (-1, -1)), ((2, 1), (0, -2), (-2, 1)))
+
+
+class NumeratorRing:
+    """A skein engine's numerator ring as data: the value class, the key
+    ``r_unit`` of r and the signs eps, eta of r -> eps t^r_unit,
+    s -> eta t, where t has key 1, with ``x_num`` the image of X_NUM.
+    Z[r^+-1, s^+-1] is (``LaurentPoly2``, ``KEY_M``, 1, 1), the ring of
+    r -> t^M, s -> t; Z[q^+-1] under r -> eps q^(2n), s -> eta q is
+    (``LaurentPoly1``, 2n, eps, eta).  One int-keyed kernel serves both.
+    """
+
+    def __init__(self, cls: type, r_unit: int, eps: int, eta: int,
+                 x_num: _Laurent):
+        self.cls, self.r_unit, self.eps, self.eta = cls, r_unit, eps, eta
+        self.one, self.x_num = cls.const(1), x_num
+        # delta^e as (key shift, coefficient) pairs: s^j -> eta^j t^j
+        self.deltas = tuple(tuple((j, m * eta if j % 2 else m) for j, m in p)
+                            for p in _DELTA_POWERS)
+
+    def r_pow(self, k: int) -> _Laurent:
+        """r^k = eps^k t^(k r_unit)."""
+        return self.cls._make({self.r_unit * k: self.eps if k % 2 else 1})
+
+    def mirror(self, num: _Laurent, c: int,
+               shift: int = 0) -> tuple[_Laurent, int]:
+        """The (N, c) pair of r^shift times the mirror image's value:
+        (-1)^(c-1) r^shift N(r^-1, s^-1), c, in one pass over N: a key k
+        becomes shift r_unit - k, with the sign eps^shift of r^shift."""
+        sign = 1 if c % 2 else -1
+        if shift % 2:
+            sign *= self.eps
+        e = self.r_unit * shift
+        return self.cls._make({e - k: sign * m
+                               for k, m in num._terms.items()}), c
+
+    def step(self, sw: _Laurent, state: int, par: _Laurent, e_par: int,
+             cap: _Laurent, e_cap: int) -> _Laurent:
+        """sw + state * (delta^e_par * par - delta^e_cap * cap), summed into
+        one dict as s-shifted copies of the terms of par and cap."""
+        if not (0 <= e_par <= 2 and 0 <= e_cap <= 2):
+            raise ValueError(f"delta exponents {e_par}, {e_cap} outside 0..2")
+        out = dict(sw._terms)
+        get = out.get
+        for poly, e, sign in ((par, e_par, state), (cap, e_cap, -state)):
+            items = poly._terms.items()
+            for shift, m in self.deltas[e]:
+                m *= sign
+                for j, c in items:
+                    k = j + shift
+                    n = get(k, 0) + m * c
+                    if n:
+                        out[k] = n
+                    else:
+                        del out[k]
+        return self.cls._make(out)
+
+    def divide(self, num: _Laurent, k: int) -> LocalizedPoly | LaurentPoly1:
+        """num / delta^k: an engine pair is wrapped as it is in two
+        variables, being normal, and divided exactly in q (``skein``)."""
+        if self.cls is LaurentPoly2:
+            return LocalizedPoly._normal(num, k)
+        return _divide_image(num, k, self.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -724,20 +802,25 @@ class Specialization(Record):
 def specialize(value, spec: Specialization):
     """Substitute r, s by the one-variable images and collect exactly.
 
-    A LaurentPoly2 gives its image.  A LocalizedPoly N / (s - s^-1)^k gives
-    the image of N divided by the image of (s - s^-1)^k, which must divide
-    it exactly (it does for every skein-engine value: see ``skein``);
+    A LaurentPoly2 gives its image, re-keyed in one pass: r^a s^b goes to
+    sign_r^a sign_s^b q^(2na+b).  A LocalizedPoly N / (s - s^-1)^k gives the
+    image of N divided by the image of (s - s^-1)^k, which must divide it
+    exactly (it does for every skein-engine value: see ``skein``);
     ValueError otherwise.
     """
     if isinstance(value, LaurentPoly2):
+        flip_r, flip_s = spec.sign_r < 0, spec.sign_s < 0
+        shrink = KEY_M - 2 * spec.n  # a M + b -> 2n a + b
         out: dict[int, int] = {}
-        for (a, b), c in value._terms.items():
-            if spec.sign_r < 0 and a % 2:
+        get = out.get
+        for k, c in value._terms.items():
+            a = (k + _HALF) // KEY_M
+            if flip_r and a & 1:
                 c = -c
-            if spec.sign_s < 0 and b % 2:
+            if flip_s and (k ^ a) & 1:  # b = k - a (mod 2), as M is odd
                 c = -c
-            e = 2 * spec.n * a + b
-            n = out.get(e, 0) + c
+            e = k - a * shrink
+            n = get(e, 0) + c
             if n:
                 out[e] = n
             else:
@@ -745,12 +828,21 @@ def specialize(value, spec: Specialization):
         return LaurentPoly1._make(out)
     if not isinstance(value, LocalizedPoly):
         raise TypeError(f"cannot specialize {type(value).__name__}")
-    den = specialize(DELTA, spec) ** value.k
-    q = specialize(value.num, spec).exact_div(den)
-    if q is None:
-        raise ValueError(f"(s - s^-1)^{value.k} does not divide the "
-                         f"numerator under {spec.label()}")
-    return q
+    return _divide_image(specialize(value.num, spec), value.k, spec.sign_s)
+
+
+def _divide_image(num: LaurentPoly1, k: int, eta: int) -> LaurentPoly1:
+    """num / (eta (q - q^-1))^k, the image of (s - s^-1)^k under s -> eta q:
+    k top-down passes of ``_div_delta``, then the sign eta^k.  ValueError
+    when the division is not exact."""
+    terms = num._terms
+    for _ in range(k):
+        terms = _div_delta(terms, False)
+        if terms is None:
+            raise ValueError(f"(s - s^-1)^{k} does not divide the "
+                             f"numerator's image")
+    quot = LaurentPoly1._make(terms)
+    return -quot if eta < 0 and k % 2 else quot
 
 
 def quantum_dimension(n: int) -> LaurentPoly1:

@@ -21,7 +21,7 @@ As x = X_NUM / delta, delta = s - s^-1, a diagram with c components (free
 loops included) has value N / delta^(c-1).  The recursion carries (N, c);
 only ``regular_isotopy_poly`` divides by delta.  A smoothing changes c by
 at most one, so a skein step lifts each smoothing's numerator by delta^e,
-0 <= e <= 2.  As delta^e = s - s^-1 or s^2 - 2 + s^-2, ``_skein_step``
+0 <= e <= 2.  As delta^e = s - s^-1 or s^2 - 2 + s^-2, the ring's step
 builds N = N_switched + state * (delta^e_par N_par - delta^e_cap N_cap)
 as one sum of s-shifted copies in one output dict, with no product.
 
@@ -94,24 +94,24 @@ k = 0 the stored pair itself is returned.  Several parts or free loops
 take r^k on the small first factor X_NUM^split, before the product.  The
 memo never holds a shifted value: it stores the part's own (N, c).
 
-An engine built with a ``Specialization`` r -> eps q^(2n), s -> eta q
-evaluates every numerator in Z[q^+-1] instead.  The substitution is a ring
-homomorphism and the recursion only adds, multiplies and calls five
-numerator operations, so each of its pairs (N', c) is the image of the
-two-variable (N, c).  Its ring, built once per ``Specialization``, supplies
-the images: one; X_NUM; r^k = eps^k q^(2nk), a key shift with a sign; the
-skein step, where delta' = eta (q - q^-1) makes delta^e q-shifted copies
-with the sign eta^shift; and the mirror.  A term r^a s^b maps to
-eps^a eta^b q^(2na+b), and r^-a s^-b to the same sign times q^-(2na+b),
-as eps, eta = +-1: the image of N(r^-1, s^-1) is N'(q^-1).  So the mirror
-is q -> q^-1 with the sign (-1)^(c-1), and the pending r^k fused into it
-adds eps^k and the shift 2nk.  Keys and memo layout are shared, with one
-memo per engine and so per ring: a ring engine holds exactly the keys of
-a two-variable engine, each entry the image of its pair.  The engine
-divides only once, at the end, by delta'^(c-1), exactly by the argument
-above, as c - 1 top-down passes of division by q - q^-1.
-``osp_invariant`` and ``so_invariant`` still specialize the two-variable
-value: they are this path's oracle.
+The numerators live in a ring given as data, ``laurent.NumeratorRing``:
+a class, the key of r and two signs, with one skein step, one mirror and
+one r-power over int keys.  The two-variable engine is the ring
+r -> t^M, s -> t: r^a s^b is keyed a M + b, r^k is a key shift by k M, a
+delta^e copy a shift by at most 2, the mirror k -> shift M - k, and the
+final pair is wrapped with no decode.  An engine built with a
+``Specialization`` r -> eps q^(2n), s -> eta q runs in Z[q^+-1] with key
+2n for r.  The substitution is a ring homomorphism and the recursion only
+adds, multiplies and calls the ring, so each pair (N', c) is the image of
+the two-variable (N, c): r^k = eps^k q^(2nk), and delta' = eta (q - q^-1)
+gives the copies the sign eta^shift.  r^a s^b and r^-a s^-b map to one
+sign times q^(2na+b) and q^-(2na+b), as eps, eta = +-1, so the mirror is
+q -> q^-1 with the sign (-1)^(c-1), and the pending r^k adds eps^k.  Keys
+and memo layout are shared, one memo per engine: a ring engine holds the
+keys of a two-variable engine, each entry the image of its pair.  It
+divides once, at the end, by delta'^(c-1), exactly by the argument above,
+as c - 1 top-down passes of division by q - q^-1.  ``osp_invariant`` and
+``so_invariant`` still specialize the two-variable value: the oracle.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ import functools
 
 from .braid import BraidWord, closure_diagram, exponent_sum, free_reduce
 from .diagram import PlanarDiagram
-from .laurent import (ONE2, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
-                      Specialization, r_pow, specialize)
+from .laurent import (KEY_M, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
+                      NumeratorRing, Specialization, specialize)
 
 
 class SkeinEngine:
@@ -155,7 +155,7 @@ class SkeinEngine:
                           tuple[LaurentPoly2 | LaurentPoly1, int]] | None = (
             {} if use_cache else None)
         self._poke = use_poke_reduction
-        self._ring = _RingRS() if spec is None else _q_ring(spec)
+        self._ring = _RS_RING if spec is None else _q_ring(spec)
 
     @property
     def cache_size(self) -> int:
@@ -242,121 +242,16 @@ class SkeinEngine:
                                          shift=-exponent_sum(b))
 
 
-def _mirror(num: LaurentPoly2, c: int,
-            shift: int = 0) -> tuple[LaurentPoly2, int]:
-    """The (N, c) pair of r^shift times the mirror image's value:
-    (-1)^(c-1) r^shift N(r^-1, s^-1), c, built in one pass over N."""
-    sign = 1 if c % 2 else -1
-    return LaurentPoly2._make({(shift - a, -b): sign * m
-                               for (a, b), m in num._terms.items()}), c
+# Z[r^+-1, s^+-1], keyed as the image of r -> t^M, s -> t (``laurent``)
+_RS_RING = NumeratorRing(LaurentPoly2, KEY_M, 1, 1, X_NUM)
 
 
-# delta^e for e = 0, 1, 2 as (s-shift, coefficient) pairs
-_DELTA_POWERS = (((0, 1),), ((1, 1), (-1, -1)), ((2, 1), (0, -2), (-2, 1)))
+@functools.cache
+def _q_ring(spec: Specialization) -> NumeratorRing:
+    """Z[q^+-1] under r -> eps q^(2n), s -> eta q, one per Specialization."""
+    return NumeratorRing(LaurentPoly1, 2 * spec.n, spec.sign_r, spec.sign_s,
+                         specialize(X_NUM, spec))
 
-
-def _skein_step(sw: LaurentPoly2, state: int, par: LaurentPoly2, e_par: int,
-                cap: LaurentPoly2, e_cap: int) -> LaurentPoly2:
-    """sw + state * (delta^e_par * par - delta^e_cap * cap), summed into one
-    dict as s-shifted copies of the terms of par and cap."""
-    if not (0 <= e_par <= 2 and 0 <= e_cap <= 2):
-        raise ValueError(f"delta exponents {e_par}, {e_cap} outside 0..2")
-    out = dict(sw._terms)
-    get = out.get
-    for poly, e, sign in ((par, e_par, state), (cap, e_cap, -state)):
-        items = poly._terms.items()
-        for shift, m in _DELTA_POWERS[e]:
-            m *= sign
-            for (a, b), c in items:
-                k = (a, b + shift)
-                n = get(k, 0) + m * c
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-    return LaurentPoly2._make(out)
-
-
-class _RingRS:
-    """Z[r^+-1, s^+-1], the default ring: the module's own operations,
-    looked up as each engine is built, so that an engine built after one of
-    them is replaced uses the replacement."""
-
-    def __init__(self):
-        self.one, self.x_num, self.r_pow = ONE2, X_NUM, r_pow
-        self.step, self.mirror = _skein_step, _mirror
-        self.divide = LocalizedPoly._normal
-
-
-class _QRing:
-    """Z[q^+-1] under r -> eps q^(2n), s -> eta q: the images of the
-    engine's numerator operations, and the one exact division at the end."""
-
-    def __init__(self, spec: Specialization):
-        self.spec, self.two_n = spec, 2 * spec.n
-        self.eps, self.eta = spec.sign_r, spec.sign_s
-        self.one = LaurentPoly1.const(1)
-        self.x_num = specialize(X_NUM, spec)
-        # delta^e as (q-shift, coefficient) pairs: s^k -> eta^k q^k
-        self.deltas = tuple(tuple((k, m * self.eta if k % 2 else m)
-                                  for k, m in p) for p in _DELTA_POWERS)
-
-    def r_pow(self, k: int) -> LaurentPoly1:
-        return LaurentPoly1._make({self.two_n * k: self.eps if k % 2 else 1})
-
-    def mirror(self, num: LaurentPoly1, c: int,
-               shift: int = 0) -> tuple[LaurentPoly1, int]:
-        """The image of ``_mirror``: q -> q^-1 with the sign (-1)^(c-1)
-        eps^shift, and the q-shift of r^shift, in one pass."""
-        sign = 1 if c % 2 else -1
-        if shift % 2:
-            sign *= self.eps
-        e = self.two_n * shift
-        return LaurentPoly1._make({e - a: sign * m
-                                   for a, m in num._terms.items()}), c
-
-    def step(self, sw: LaurentPoly1, state: int, par: LaurentPoly1,
-             e_par: int, cap: LaurentPoly1, e_cap: int) -> LaurentPoly1:
-        """The image of ``_skein_step``: delta^e as q-shifted copies."""
-        if not (0 <= e_par <= 2 and 0 <= e_cap <= 2):
-            raise ValueError(f"delta exponents {e_par}, {e_cap} outside 0..2")
-        out = dict(sw._terms)
-        get = out.get
-        for poly, e, sign in ((par, e_par, state), (cap, e_cap, -state)):
-            items = poly._terms.items()
-            for shift, m in self.deltas[e]:
-                m *= sign
-                for a, c in items:
-                    k = a + shift
-                    n = get(k, 0) + m * c
-                    if n:
-                        out[k] = n
-                    else:
-                        del out[k]
-        return LaurentPoly1._make(out)
-
-    def divide(self, num: LaurentPoly1, k: int) -> LaurentPoly1:
-        """num / delta'^k, exact for every engine value (module docstring):
-        k divisions by q - q^-1, each the recurrence Q_(b-1) = p_b + Q_(b+1)
-        from the top down, then the sign eta^k."""
-        terms = num._terms
-        for _ in range(k if terms else 0):
-            out, get = {}, terms.get
-            above = here = 0  # Q_(b+1) and Q_b
-            for b in range(max(terms), min(terms) - 1, -1):
-                below = get(b, 0) + above
-                if below:
-                    out[b - 1] = below
-                above, here = here, below
-            if above or here:
-                raise ValueError(f"(s - s^-1)^{k} does not divide the "
-                                 f"numerator under {self.spec.label()}")
-            terms = out
-        quot = LaurentPoly1._make(terms)
-        return -quot if self.eta < 0 and k % 2 else quot
-
-
-_q_ring = functools.cache(_QRing)  # one ring per Specialization
 
 _default_engine = SkeinEngine()
 

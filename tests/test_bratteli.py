@@ -115,7 +115,7 @@ class TestTraceWeight:
             assert yb.sum_rule_check(f), f
 
     def test_zero_gap_is_zero(self):
-        # s^0 - s^-0: both terms have the key (0, 0) and cancel
+        # s^0 - s^-0: both terms are the constant 1 and cancel
         assert yb._gap(0, 0).is_zero
         with pytest.raises(ZeroDivisionError):
             Quotient(ONE2, yb._gap(0, 0))

@@ -327,13 +327,13 @@ class TestVerify:
     def test_parity_catches_an_engine_fault(self, capsys, monkeypatch):
         # the mutant of TestNumeratorParity: each smoothing lifted by the
         # other's power of delta
-        from bwmlink import skein
-        from test_skein import skein_step_copy
+        from bwmlink.laurent import NumeratorRing
+        from test_skein import step_copy
 
-        mutant = skein_step_copy(
+        mutant = step_copy(
             "((par, e_par, state), (cap, e_cap, -state))",
             "((par, e_cap, state), (cap, e_par, -state))")
-        monkeypatch.setattr(skein, "_skein_step", mutant)
+        monkeypatch.setattr(NumeratorRing, "step", mutant)
         code, out, _ = run(capsys, "verify", "parity")
         assert code == 1
         assert "FAIL parity " in out

@@ -1,5 +1,7 @@
 import inspect
 import random
+import sys
+import textwrap
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -36,15 +38,22 @@ def reference_mul(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
     """The pairwise convolution of every term pair, with no monomial key
     shift: the reference for ``LaurentPoly2.__mul__``."""
     out: dict[tuple[int, int], int] = {}
-    for (a1, b1), c1 in p._terms.items():
-        for (a2, b2), c2 in q._terms.items():
+    for a1, b1, c1 in p.terms():
+        for a2, b2, c2 in q.terms():
             k = (a1 + a2, b1 + b2)
-            n = out.get(k, 0) + c1 * c2
-            if n:
-                out[k] = n
-            else:
-                del out[k]
-    return LaurentPoly2._make(out)
+            out[k] = out.get(k, 0) + c1 * c2
+    return LaurentPoly2(out)
+
+
+def source_copy(fn, old, new):
+    """A copy of ``fn``, a function or method of the package, with the
+    source text ``old`` made ``new``, run in the namespace of its module."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(mutated, namespace)
+    return namespace[fn.__name__]
 
 
 specs = st.sampled_from(
@@ -95,6 +104,80 @@ class TestLaurentPoly2:
         assert (R - s_pow(-1)).to_text() == "-s^-1 + r"
 
 
+H = laurent.KEY_M // 2  # (M - 1) / 2, the largest |s-exponent| of a key
+key_pairs = st.lists(st.tuples(
+    st.integers(-2**12, 2**12),
+    st.one_of(st.integers(-40, 40), st.sampled_from((H, -H, H - 1, 1 - H)))),
+    min_size=1, max_size=8)
+
+
+def round_trips(pairs) -> bool:
+    """Whether (a, b) -> k -> (a, b) is the identity on ``pairs``."""
+    return all(laurent._unpack(laurent._pack(a, b)) == (a, b)
+               for a, b in pairs)
+
+
+def parity_kept(pairs) -> bool:
+    """Whether every key has the parity of a + b."""
+    return all(laurent._pack(a, b) & 1 == (a + b) & 1 for a, b in pairs)
+
+
+def first_failure(check):
+    """A drawn list of pairs on which ``check`` fails."""
+    return find(key_pairs, lambda pairs: not check(pairs),
+                settings=settings(max_examples=500, database=None,
+                                  derandomize=True, phases=[Phase.generate]))
+
+
+class TestKeyFormat:
+    """r^a s^b is keyed by a M + b with M odd and b balanced."""
+
+    def test_m_is_odd(self):
+        assert laurent.KEY_M % 2 == 1 and 2 * H + 1 == laurent.KEY_M
+
+    @given(key_pairs)
+    def test_round_trip(self, pairs):
+        assert round_trips(pairs)
+        poly = LaurentPoly2({pair: 3 for pair in pairs})
+        assert [(a, b) for a, b, _ in poly.terms()] == sorted(set(pairs))
+
+    @given(key_pairs)
+    def test_sorted_keys_are_sorted_pairs(self, pairs):
+        keys = sorted(laurent._pack(a, b) for a, b in set(pairs))
+        assert [laurent._unpack(k) for k in keys] == sorted(set(pairs))
+
+    @given(key_pairs)
+    def test_parity(self, pairs):
+        assert parity_kept(pairs)
+        poly = LaurentPoly2({pair: 1 for pair in pairs})
+        assert poly.parities() == {(a + b) & 1 for a, b in pairs}
+
+    @pytest.mark.parametrize("b", [H + 1, -H - 1])
+    def test_s_exponent_out_of_range(self, b):
+        with pytest.raises(ValueError, match="key range"):
+            LaurentPoly2({(0, b): 1})
+        with pytest.raises(ValueError, match="key range"):
+            LaurentPoly2.term(1, 2, b)
+        inside = b - 1 if b > 0 else b + 1
+        assert LaurentPoly2.term(1, 2, inside).to_triples() == [[2, inside, 1]]
+
+    def test_floor_decoding_fails(self, monkeypatch):
+        # b = k mod M is right for b >= 0 only
+        monkeypatch.setattr(laurent, "_unpack", source_copy(
+            laurent._unpack, "b = (k + _HALF) % KEY_M - _HALF",
+            "b = k % KEY_M"))
+        pairs = first_failure(round_trips)
+        monkeypatch.undo()
+        assert round_trips(pairs) and any(b < 0 for _, b in pairs)
+
+    def test_even_m_fails(self, monkeypatch):
+        # with M even, a M + b has the parity of b, not of a + b
+        monkeypatch.setattr(laurent, "KEY_M", 1 << 20)
+        pairs = first_failure(parity_kept)
+        monkeypatch.undo()
+        assert parity_kept(pairs) and any(a % 2 for a, _ in pairs)
+
+
 class TestMonomialProduct:
     """A product with a one-term operand is a key shift, scaled unless the
     coefficient is 1."""
@@ -108,7 +191,7 @@ class TestMonomialProduct:
                      (LaurentPoly2(), mono), (mono, LaurentPoly2())):
             product = x * y
             assert product == reference_mul(x, y)
-            assert 0 not in product._terms.values()
+            assert all(c for *_, c in product.terms())
 
 
 class TestExactDivision:
@@ -129,31 +212,53 @@ class TestExactDivision:
         assert (p * d).exact_div(d) == p
 
     def test_aliased_images_rejected(self):
-        # r -> t^2, s -> t sends these to 1 - t^2 and 1 - t, which divide;
-        # the decoded 1 + r*s^-1 times 1 - s is not 1 - r
+        # the keys of 1 - r and 1 - s are 1 - t^M and 1 - t, which divide;
+        # a quotient would need s-exponents in 0..-1, so the first quotient
+        # key stops the division
         assert (1 - R).exact_div(1 - S) is None
+
+
+def div_delta(p: LaurentPoly2) -> LaurentPoly2 | None:
+    """``_div_delta`` on a LaurentPoly2's keys, column by column."""
+    q = _div_delta(p._terms, True)
+    return None if q is None else LaurentPoly2._make(q)
 
 
 class TestDivDelta:
     def test_examples(self):
-        assert _div_delta(s_pow(3) - s_pow(-3)) == s_pow(2) + 1 + s_pow(-2)
-        assert _div_delta(R * DELTA + DELTA * DELTA) == R + DELTA
-        assert _div_delta(LaurentPoly2()) == LaurentPoly2()
-        assert _div_delta(S) is None
-        assert _div_delta(S + s_pow(-1)) is None
+        assert div_delta(s_pow(3) - s_pow(-3)) == s_pow(2) + 1 + s_pow(-2)
+        assert div_delta(R * DELTA + DELTA * DELTA) == R + DELTA
+        assert div_delta(LaurentPoly2()) == LaurentPoly2()
+        assert div_delta(S) is None
+        assert div_delta(S + s_pow(-1)) is None
         # (s - s^-1) divides p exactly when p vanishes at s = 1 and s = -1,
         # that is when both parity classes of a column sum to 0; each of
         # these fails one class only
-        assert _div_delta(1 + S - s_pow(2)) is None
-        assert _div_delta(1 + S - s_pow(3)) is None
-        assert _div_delta(R * (s_pow(2) - 1) + (1 + S - s_pow(2))) is None
+        assert div_delta(1 + S - s_pow(2)) is None
+        assert div_delta(1 + S - s_pow(3)) is None
+        assert div_delta(R * (s_pow(2) - 1) + (1 + S - s_pow(2))) is None
 
     @given(polys2(max_terms=6), st.integers(0, 2))
     @settings(max_examples=200)
     def test_matches_exact_div(self, p, j):
         # exact_div is the general routine; None cases must agree too
         q = p * DELTA**j
-        assert _div_delta(q) == q.exact_div(DELTA)
+        assert div_delta(q) == q.exact_div(DELTA)
+
+    def test_one_run_in_q(self):
+        # without columns the recurrence runs once over the whole
+        # polynomial, gaps included
+        q = LaurentPoly1.term(1, 1)
+        assert _div_delta((q**3 - q**-3)._terms, False) == (q**2 + 1 + q**-2)._terms
+        assert _div_delta((q**5 - q)._terms, False) == {4: 1, 2: 1}
+        assert _div_delta(q._terms, False) is None
+        assert _div_delta({}, False) == {}
+
+    def test_columns_divide_alone(self):
+        # r^1000 (s^2 - s^-2) + (s - s^-1): the recurrence never walks the
+        # ~1000 M keys between the two columns
+        p = r_pow(1000) * (s_pow(2) - s_pow(-2)) + DELTA
+        assert div_delta(p) == r_pow(1000) * (S + s_pow(-1)) + 1
 
 
 def generic(num, k):
@@ -210,9 +315,9 @@ class TestLocalizedFastPaths:
         calls = []
         div_delta = laurent._div_delta
 
-        def counted(p):
-            calls.append(p)
-            return div_delta(p)
+        def counted(*args):
+            calls.append(args)
+            return div_delta(*args)
 
         monkeypatch.setattr(laurent, "_div_delta", counted)
         neg, flipped = -v, v.flip_vars()
@@ -602,8 +707,8 @@ def mixed_sides(draw):
 def terms_as_products(poly, cls):
     """poly as a sum of products of one factor each, all coefficients +-1:
     a term c m gives |c| products (+-m,)."""
-    return [(cls({key: 1 if c > 0 else -1}),)
-            for key, c in poly._terms.items() for _ in range(abs(c))]
+    return [(cls.term(1 if c > 0 else -1, *exps),)
+            for *exps, c in poly.terms() for _ in range(abs(c))]
 
 
 @st.composite
@@ -634,7 +739,7 @@ def scaled_sides():
     even = st.one_of(st.integers(1, 20), st.integers(-20, -1),
                      st.integers(2**40, 2**44)).map(lambda c: 2 * c)
     return sides_with_coefficients(
-        even, lambda poly, cls: [(poly,)] if poly._terms else [])
+        even, lambda poly, cls: [] if poly.is_zero else [(poly,)])
 
 
 def parity_factors(parity):
@@ -649,7 +754,7 @@ def parity_factors(parity):
 def parity_parts(poly):
     """poly as a sum of at most two one-factor products, the terms of even
     and of odd a + b."""
-    parts = [{k: c for k, c in poly._terms.items() if sum(k) % 2 == p}
+    parts = [{(a, b): c for a, b, c in poly.terms() if (a + b) % 2 == p}
              for p in (0, 1)]
     return [(LaurentPoly2(part),) for part in parts if part]
 
@@ -678,12 +783,7 @@ def parity_sides(draw):
 
 def kernel_copy(old, new):
     """A copy of the helper with the source text ``old`` made ``new``."""
-    source = inspect.getsource(laurent.sums_of_products_equal)
-    mutated = source.replace(old, new)
-    assert mutated != source
-    namespace = dict(vars(laurent))
-    exec(mutated, namespace)
-    return namespace["sums_of_products_equal"]
+    return source_copy(laurent.sums_of_products_equal, old, new)
 
 
 def byte_base_copy():

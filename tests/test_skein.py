@@ -1,6 +1,3 @@
-import inspect
-import textwrap
-
 import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 
@@ -11,14 +8,14 @@ from bwmlink.braid import (BraidWord, closure_diagram, closure_permutation,
 from bwmlink.closed_forms import torus2_invariant
 from bwmlink.diagram import PlanarDiagram
 from bwmlink.laurent import (DELTA, ONE2, X_NUM, LaurentPoly1, LaurentPoly2,
-                             LocalizedPoly, Specialization, loop_value, r_pow,
-                             specialize)
-from bwmlink.skein import (SkeinEngine, _mirror, _skein_step,
-                           kauffman_polynomial)
-from test_laurent import polys2, reference_mul
+                             LocalizedPoly, NumeratorRing, Specialization,
+                             loop_value, r_pow, specialize)
+from bwmlink.skein import SkeinEngine, kauffman_polynomial
+from test_laurent import polys2, reference_mul, source_copy
 
 X = loop_value()
 ONE1 = LaurentPoly1.const(1)
+RS_RING = SkeinEngine()._ring  # Z[r^+-1, s^+-1]: r -> t^M, s -> t
 
 
 @st.composite
@@ -38,23 +35,13 @@ def numerator_parity_holds(word):
     diagram = closure_diagram(word)
     num, c = SkeinEngine()._value(diagram)
     want = (len(diagram.crossings) + c - 1) % 2
-    return all((a + b) % 2 == want for a, b in num._terms)
+    return all((a + b) % 2 == want for a, b, _ in num.terms())
 
 
-def skein_copy(fn, old, new):
-    """A copy of ``fn``, a function or method of ``skein``, with the source
-    text ``old`` made ``new``."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    mutated = source.replace(old, new)
-    assert mutated != source
-    namespace = dict(vars(skein))
-    exec(mutated, namespace)
-    return namespace[fn.__name__]
-
-
-def skein_step_copy(old, new):
-    """A copy of ``_skein_step`` with the source text ``old`` made ``new``."""
-    return skein_copy(skein._skein_step, old, new)
+def step_copy(old, new):
+    """A copy of the ring's skein step with the source text ``old`` made
+    ``new``, for both rings once set on ``NumeratorRing``."""
+    return source_copy(NumeratorRing.step, old, new)
 
 
 class TestNumeratorParity:
@@ -72,10 +59,10 @@ class TestNumeratorParity:
         # breaks the parity where the two smoothings' component counts
         # differ by one.  A flipped sign cannot: negating a coefficient or
         # an exponent keeps a + b (mod 2)
-        mutant = skein_step_copy(
+        mutant = step_copy(
             "((par, e_par, state), (cap, e_cap, -state))",
             "((par, e_cap, state), (cap, e_par, -state))")
-        monkeypatch.setattr(skein, "_skein_step", mutant)
+        monkeypatch.setattr(NumeratorRing, "step", mutant)
         word = find(small_words(max_strands=4, max_len=8),
                     lambda w: not numerator_parity_holds(w),
                     settings=settings(max_examples=500, database=None,
@@ -167,10 +154,10 @@ class TestLowestTerms:
             BraidWord(2, ((1, 1),) * 3), BraidWord(2, ((1, 1),))]
 
     def test_swapped_delta_powers_fail(self, monkeypatch):
-        mutant = skein_step_copy(
+        mutant = step_copy(
             "((par, e_par, state), (cap, e_cap, -state))",
             "((par, e_cap, state), (cap, e_par, -state))")
-        monkeypatch.setattr(skein, "_skein_step", mutant)
+        monkeypatch.setattr(NumeratorRing, "step", mutant)
         word = find(small_words(max_strands=5, max_len=9),
                     lambda w: not lowest_terms_hold(w),
                     settings=settings(max_examples=500, database=None,
@@ -550,16 +537,16 @@ class TestPendingShift:
     def test_shifted_store_fails(self, monkeypatch):
         # a copy that shifts the numerator before the memo stores it
         store = "    if self._cache is not None:\n        self._cache[key]"
-        monkeypatch.setattr(SkeinEngine, "_connected", skein_copy(
+        monkeypatch.setattr(SkeinEngine, "_connected", source_copy(
             SkeinEngine._connected, store,
             "    if shift:\n"
-            "        num, shift = r_pow(shift) * num, 0\n" + store))
+            "        num, shift = ring.r_pow(shift) * num, 0\n" + store))
         assert not pending_shift_holds(torus_corpus(True))
 
 
 class TestMonomialKernel:
     """A monomial product is a key shift, scaled unless the coefficient is
-    1, and ``_mirror`` with a shift is the shifted mirror."""
+    1, and the ring's mirror with a shift is the shifted mirror."""
 
     @given(polys2(), st.integers(-3, 3),
            st.integers(-3, 3).filter(bool), st.sampled_from((1, -1, 3)),
@@ -570,8 +557,9 @@ class TestMonomialKernel:
             mono = LaurentPoly2.term(m, a, s_exp)
             assert mono * p == reference_mul(mono, p)
             assert p * mono == reference_mul(p, mono)
+        mirror = RS_RING.mirror
         for c in (2 * half_c + 1, 2 * half_c + 2):
-            assert _mirror(p, c, k) == (r_pow(k) * _mirror(p, c)[0], c)
+            assert mirror(p, c, k) == (r_pow(k) * mirror(p, c)[0], c)
 
 
 class TestFreeReduction:
@@ -666,7 +654,7 @@ def reference_delta_power(e: int) -> LaurentPoly2:
 
 
 class TestSkeinStep:
-    """``_skein_step`` sums s-shifted copies of the smoothings' numerators
+    """The ring's step sums s-shifted copies of the smoothings' numerators
     into one dict: it must equal the step built from products."""
 
     @given(polys2(), polys2(), polys2(), st.integers(0, 2), st.integers(0, 2),
@@ -677,23 +665,22 @@ class TestSkeinStep:
             cap, e_cap = par, e_par
         expected = sw + state * (reference_mul(par, reference_delta_power(e_par))
                                  - reference_mul(cap, reference_delta_power(e_cap)))
-        step = _skein_step(sw, state, par, e_par, cap, e_cap)
+        step = RS_RING.step(sw, state, par, e_par, cap, e_cap)
         assert step == expected
-        assert 0 not in step._terms.values()
+        assert all(c for *_, c in step.terms())
         if cancel:
             assert step == sw
 
     def test_cancels_to_zero(self):
         for e in range(3):
-            assert _skein_step(LaurentPoly2(), 1, X_NUM, e, X_NUM, e).is_zero
+            assert RS_RING.step(LaurentPoly2(), 1, X_NUM, e, X_NUM, e).is_zero
 
     @pytest.mark.parametrize("e", [3, -1])
-    def test_exponent_outside_range(self, e):
-        with pytest.raises(ValueError):
-            _skein_step(ONE2, 1, ONE2, e, ONE2, 0)
-        with pytest.raises(ValueError):
-            _skein_step(ONE2, 1, ONE2, 0, ONE2, e)
-        step, one = skein._q_ring(Specialization.so(1)).step, ONE1
+    @pytest.mark.parametrize("spec", [None, Specialization.so(1)],
+                             ids=["rs", "so:1"])
+    def test_exponent_outside_range(self, e, spec):
+        step = SkeinEngine(spec=spec)._ring.step
+        one = ONE2 if spec is None else ONE1
         with pytest.raises(ValueError):
             step(one, 1, one, e, one, 0)
         with pytest.raises(ValueError):
@@ -834,13 +821,11 @@ def ring_words() -> list[BraidWord]:
                                  MARKOV_CORPUS + BRAID_RELATION_CORPUS]
 
 
-def ring_agrees(spec: Specialization, words) -> bool:
-    """Whether one engine in Z[q^+-1], shared across ``words``, gives the
-    specialized two-variable value of each: the specialize-after oracle."""
+def ring_values(spec: Specialization, words) -> list[LaurentPoly1]:
+    """The values of ``words`` from one engine in Z[q^+-1], shared across
+    them; the specialize-after oracle gives the expected list."""
     ring = SkeinEngine(spec=spec)
-    return all(ring.kauffman_polynomial(w)
-               == specialize(SkeinEngine().kauffman_polynomial(w), spec)
-               for w in words)
+    return [ring.kauffman_polynomial(w) for w in words]
 
 
 def ring_memo_holds(spec: Specialization, words) -> bool:
@@ -858,8 +843,8 @@ def ring_memo_holds(spec: Specialization, words) -> bool:
 
 @pytest.fixture
 def fresh_rings():
-    """Rings built inside the test, so a patched ``_QRing`` takes effect and
-    none of its rings outlives the test."""
+    """Rings built inside the test, so a patched ``NumeratorRing`` takes
+    effect and none of its rings outlives the test."""
     skein._q_ring.cache_clear()
     yield
     skein._q_ring.cache_clear()
@@ -913,21 +898,31 @@ class TestRingEngine:
 
     @pytest.mark.parametrize("method, old, new, spec", [
         # eta dropped on the odd q-shifts of delta^e: visible where eta = -1
-        ("__init__", "(k, m * self.eta if k % 2 else m)", "(k, m)",
+        ("__init__", "(j, m * eta if j % 2 else m)", "(j, m)",
          Specialization.so(1)),
         # eps^k dropped on odd r-powers: visible where eps = -1
         ("r_pow", "self.eps if k % 2 else 1", "1", Specialization.osp(1)),
+        # eps^k applied on even r-powers too
+        ("r_pow", "self.eps if k % 2 else 1", "self.eps",
+         Specialization.osp(1)),
         # the mirror's (-1)^(c-1) dropped
         ("mirror", "sign = 1 if c % 2 else -1", "sign = 1",
          Specialization.osp(2)),
         # eps^shift of the pending r-power dropped from the mirror
         ("mirror", "sign *= self.eps", "pass", Specialization.osp(1)),
-    ], ids=["step-eta", "r-pow-eps", "mirror-sign", "mirror-eps"])
+        # eps^shift applied on even shifts too
+        ("mirror", "if shift % 2:", "if True:", Specialization.osp(1)),
+    ], ids=["step-eta", "r-pow-eps", "r-pow-eps-even", "mirror-sign",
+            "mirror-eps", "mirror-eps-even"])
     def test_mutants_fail(self, monkeypatch, fresh_rings, method, old, new,
                           spec):
+        # the oracle is taken before the patch: a mutant set on the class
+        # reaches the two-variable ring too
         words = ring_words()
-        assert ring_agrees(spec, words)
-        mutant = skein_copy(getattr(skein._QRing, method), old, new)
-        monkeypatch.setattr(skein._QRing, method, mutant)
+        expected = [specialize(SkeinEngine().kauffman_polynomial(w), spec)
+                    for w in words]
+        assert ring_values(spec, words) == expected
+        mutant = source_copy(getattr(NumeratorRing, method), old, new)
+        monkeypatch.setattr(NumeratorRing, method, mutant)
         skein._q_ring.cache_clear()
-        assert not ring_agrees(spec, words)
+        assert ring_values(spec, words) != expected
