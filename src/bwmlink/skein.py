@@ -16,6 +16,11 @@ non-descending crossing of the deterministic strand walk, which terminates
 because smoothing drops a crossing and switching strictly extends the
 descending prefix.  A child of a reduced part can only hold moves that
 touch the resolved crossing's neighbours, so its reduction starts there.
+A braid word needs no free reduction first: adjacent sigma_i^e sigma_i^-e
+bound a bigon whose strand is over at both crossings or under at both, a
+poke.  Deleting it joins the outer arcs straight, making the next
+cancelling pair adjacent, and ``reduce`` pushes the ends of every arc it
+makes, so nested cancellations finish in one worklist.
 
 As x = X_NUM / delta, delta = s - s^-1, a diagram with c components (free
 loops included) has value N / delta^(c-1).  The recursion carries (N, c);
@@ -118,7 +123,7 @@ from __future__ import annotations
 
 import functools
 
-from .braid import BraidWord, closure_diagram, exponent_sum, free_reduce
+from .braid import BraidWord, closure_diagram, exponent_sum
 from .diagram import PlanarDiagram
 from .laurent import (KEY_M, X_NUM, LaurentPoly1, LaurentPoly2, LocalizedPoly,
                       NumeratorRing, Specialization, specialize)
@@ -129,12 +134,10 @@ class SkeinEngine:
     pair of the module docstring, and with poke (Reidemeister II) reduction
     before each resolution.
 
-    Each diagram is reduced once, before it splits into connected parts, so
-    every part is free of kinks (and pokes).  The table holds those parts,
-    the ones that reach ``traverse`` and ``resolve``.  A resolution changes
-    the arcs or the over bit at one crossing only, so each child's
-    reduction tests just that crossing's neighbours and what its own
-    deletions reach: O(change), not O(diagram), per node.
+    Each diagram is reduced once, before it splits into connected parts;
+    the table holds those parts, the ones that reach ``traverse`` and
+    ``resolve``.  Each child's reduction starts at the resolved crossing's
+    neighbours (module docstring): O(change), not O(diagram), per node.
     A part with fewer over bits 1 than 0 is keyed and stored as its mirror
     image, its value mapped through the mirror identity of the module
     docstring; a balanced part is keyed as it is.  So parts with equal keys
@@ -233,12 +236,9 @@ class SkeinEngine:
         return (ring.r_pow(shift) * num if shift else num), c
 
     def kauffman_polynomial(self, b: BraidWord) -> LocalizedPoly:
-        """Normalized two-variable invariant of the braid's closure:
-        r^(-exponent sum) times the regular-isotopy value, taken on the
-        freely reduced word (each cancelled pair is a Reidemeister II move).
-        The factor r^(-exponent sum) goes down the recursion as the pending
-        r-power of the module docstring, not as a product on the result."""
-        return self.regular_isotopy_poly(closure_diagram(free_reduce(b)),
+        """The closure's regular-isotopy value times r^(-exponent sum), the
+        pending r-power; the word is taken as given, not freely reduced."""
+        return self.regular_isotopy_poly(closure_diagram(b),
                                          shift=-exponent_sum(b))
 
 
